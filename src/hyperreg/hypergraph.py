@@ -282,13 +282,8 @@ def count_induced(F: KGraph, H: KGraph, allow_large: bool = False) -> Fraction:
         return Fraction(0)
 
     if H.k == 2 and ell == 3:
-        c0, c1, c2, c3 = _count_induced_triples_2graph(H)
-        by_edges = {0: c0, 1: c1, 2: c2, 3: c3}
-        m = len(F.edges)
-        if m in (0, 3):
-            return Fraction(by_edges[m], total)
-        # one edge and the path are the unique classes with 1 resp. 2 edges
-        return Fraction(by_edges[m], total)
+        # each edge count 0..3 names exactly one class of 3-vertex 2-graphs
+        return Fraction(_count_induced_triples_2graph(H)[len(F.edges)], total)
 
     target = tuple(sorted(canonical_form(F).edges))
     hits = 0

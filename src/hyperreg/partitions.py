@@ -478,29 +478,32 @@ def family_from_text(text: str) -> PartitionFamily:
         a = tuple(int(x) for x in head[2:])
     except (ValueError, IndexError) as exc:
         raise InputError(f"bad header line 1: {lines[0]!r}") from exc
-    if len(a) != k - 1:
-        raise InputError(f"header shape {a} does not match k={k}")
-    vertex_classes = [frozenset() for _ in range(a[0])]
+    if k < 2 or len(a) != k - 1:
+        raise InputError(f"bad header line 1: shape {a} does not match k={k}")
+    vertex_classes = {}
     level_classes = {j: {} for j in range(2, k)}
     for idx, ln in enumerate(lines[1:], start=2):
+        left, _, right = ln.partition(" : ")
         try:
-            left, _, right = ln.partition(" : ")
             toks = left.split()
             j = int(toks[0])
             if j == 1:
-                i = int(toks[1])
-                vertex_classes[i - 1] = frozenset(
-                    int(v) for v in right.split()
-                )
+                into, key = vertex_classes, int(toks[1])
+                value = frozenset(int(v) for v in right.split())
             else:
-                x = AddressVector.decode(toks[1])
-                b = int(toks[2])
-                edges = frozenset(
-                    tuple(int(v) for v in chunk.split(","))
-                    for chunk in right.split()
-                    if chunk
+                into = level_classes.get(j)
+                key = (AddressVector.decode(toks[1]), int(toks[2]))
+                value = frozenset(
+                    tuple(int(v) for v in chunk.split(",")) for chunk in right.split()
                 )
-                level_classes[j][(x, b)] = edges
         except (ValueError, IndexError, InputError) as exc:
             raise InputError(f"bad family line {idx}: {ln!r}") from exc
+        if into is None:
+            raise InputError(f"bad family line {idx}: level {j} outside 1..{k - 1}")
+        if j == 1 and not 1 <= key <= a[0]:
+            raise InputError(f"bad family line {idx}: class {key} outside 1..{a[0]}")
+        if key in into:
+            raise InputError(f"bad family line {idx}: repeats class {left.strip()!r}")
+        into[key] = value
+    vertex_classes = [vertex_classes.get(i, frozenset()) for i in range(1, a[0] + 1)]
     return PartitionFamily(k, n, a, vertex_classes, level_classes, relaxed=relaxed)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
-from .addresses import AddressVector, address_space
+from .addresses import AddressVector, address_space, address_space_size
 from .errors import CapabilityError, InputError
 from .hypergraph import KGraph, cliques
 from .partitions import PartitionFamily, VertexClassGraph
@@ -40,48 +40,115 @@ def _clique_set(Hk1, k: int) -> set:
     return cliques(Hk1, k)
 
 
-def relative_density(Hk: KGraph, Hk1) -> Fraction:
-    """|H^(k) ∩ K_k(H^(k-1))| / |K_k(H^(k-1))|, 0 on empty clique sets."""
-    kk = _clique_set(Hk1, Hk.k)
+def _density(Hk: KGraph, kk: set) -> Fraction:
     if not kk:
         return Fraction(0)
     return Fraction(sum(1 for e in kk if e in Hk.edges), len(kk))
 
 
-def _crossing_adjacency(Hk: KGraph, classes):
-    """Per-vertex bitmasks of Hk restricted to class-crossing pairs."""
-    cls_of = {}
-    for i, c in enumerate(classes):
-        for v in c:
-            cls_of[v] = i
-    adj = {v: 0 for v in cls_of}
-    for u, v in Hk.edges:
-        if u in cls_of and v in cls_of and cls_of[u] != cls_of[v]:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    return adj
+def relative_density(Hk: KGraph, Hk1) -> Fraction:
+    """|H^(k) ∩ K_k(H^(k-1))| / |K_k(H^(k-1))|, 0 on empty clique sets."""
+    return _density(Hk, _clique_set(Hk1, Hk.k))
 
 
-def _pair_verdict_terms(smask: int, class_masks, adj):
-    """(crossing pair count, edge count) inside the vertex subset smask."""
-    parts = [(smask & m).bit_count() for m in class_masks]
-    pairs = 0
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            pairs += parts[i] * parts[j]
-    edges = 0
-    m = smask
-    while m:
-        low = m & (-m)
-        v = low.bit_length() - 1
-        m ^= low
-        edges += (adj.get(v, 0) & smask).bit_count()
-    return pairs, edges // 2
+# ---------------------------------------------------------------------------
+# the scan: candidates Q are bitmasks over a sorted ground set, where
+# ground[i] sits at bit len(ground) - 1 - i, so counting up through the
+# integers visits subsets in binary-counting order, last element fastest
+
+def _ground(Hk1) -> list:
+    """Vertices of a vertex-class polyad, else the sub-edges of a (k-1)-graph."""
+    if isinstance(Hk1, VertexClassGraph):
+        return sorted(Hk1.vertex_set())
+    return sorted(Hk1.edges)
 
 
-def _judge(count, kq, d, eps):
-    """Deviation of an edge count from d*kq, as a fraction of kq."""
-    return abs(Fraction(count) - d * kq) / kq
+def _members(ground, mask) -> list:
+    top = len(ground) - 1
+    return [g for i, g in enumerate(ground) if mask >> (top - i) & 1]
+
+
+def _pair_scorer(Hk: KGraph, classes, ground):
+    """k = 2: (crossing pairs, edges) inside a vertex mask."""
+    top = len(ground) - 1
+    pos = {v: top - i for i, v in enumerate(ground)}  # vertex -> bit position
+    adj = Hk.adjacency_masks()
+    class_masks, nbrs = [], [0] * len(ground)
+    for c in classes:
+        own = sum(1 << v for v in c)
+        class_masks.append(sum(1 << pos[v] for v in c))
+        for u in c:
+            rest = adj[u] & ~own if u < Hk.n else 0
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                if v in pos:
+                    nbrs[pos[u]] |= 1 << pos[v]
+
+    def score(mask):
+        size = mask.bit_count()
+        pairs = size * size - sum((mask & m).bit_count() ** 2 for m in class_masks)
+        edges, rest = 0, mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            edges += (nbrs[low.bit_length() - 1] & mask).bit_count()
+        return pairs // 2, edges // 2
+
+    return score
+
+
+def _clique_scorer(Hk: KGraph, Hk1: KGraph, ground):
+    """k >= 3: (|K_k(Q)|, edges of Hk among them) for the sub-graph Q."""
+    def score(mask):
+        kq = cliques(KGraph(Hk1.k, Hk1.n, frozenset(_members(ground, mask))), Hk.k)
+        return len(kq), sum(1 for e in kq if e in Hk.edges)
+
+    return score
+
+
+def _retained(size: int, trials: int, seed: int):
+    """Independent retention at each density; p = 1 keeps the full ground
+    set, which is scored once however many trials there are."""
+    top = size - 1
+    for p in RETENTION_DENSITIES:
+        if p == 1:
+            yield (1 << size) - 1
+            continue
+        for t in range(trials):
+            rng = substream(seed, "retain", str(p), t)
+            yield sum(1 << (top - i) for i in range(size) if rng.random() < p)
+
+
+def _scan(Hk, Hk1, ground, eps, d, candidates, mode, certified) -> RegularityVerdict:
+    """Score every candidate over the floor eps*|K_k(Hk1)|; the worst is the
+    first of maximal deviation |hits - d*size| / size."""
+    eps, d = Fraction(eps), Fraction(d)
+    kk = _clique_set(Hk1, Hk.k)
+    dens = _density(Hk, kk)
+    if not kk:
+        return RegularityVerdict(True, dens, None, mode, certified)
+    if isinstance(Hk1, VertexClassGraph):
+        score = _pair_scorer(Hk, Hk1.classes, ground)
+    else:
+        score = _clique_scorer(Hk, Hk1, ground)
+    floor = eps.numerator * len(kk)
+    worst = None  # (deviation numerator, denominator, mask)
+    for mask in candidates:
+        size, hits = score(mask)
+        if not size or size * eps.denominator < floor:
+            continue
+        num = abs(hits * d.denominator - d.numerator * size)
+        den = size * d.denominator
+        if worst is None or num * worst[1] > worst[0] * den:
+            worst = (num, den, mask)
+    if worst is None:
+        return RegularityVerdict(True, dens, None, mode, certified)
+    picked = _members(ground, worst[2])
+    witness = tuple(picked) if isinstance(Hk1, VertexClassGraph) else frozenset(picked)
+    dev = Fraction(worst[0], worst[1])
+    return RegularityVerdict(dev <= eps, dens, (witness, dev), mode, certified)
 
 
 def check_regular_exhaustive(
@@ -92,57 +159,15 @@ def check_regular_exhaustive(
     For k = 2 the quantifier runs over vertex subsets of the class
     structure, with K_2(Q) the crossing pairs inside the subset.
     """
-    eps, d = Fraction(eps), Fraction(d)
-    dens = relative_density(Hk, Hk1)
-    if isinstance(Hk1, VertexClassGraph):
-        verts = sorted(Hk1.vertex_set())
-        if len(verts) > exhaustive_cap:
-            raise CapabilityError(
-                f"{len(verts)} ground vertices exceed the exhaustive cap "
-                f"{exhaustive_cap}; use check_regular_sampled"
-            )
-        class_masks = [sum(1 << v for v in c) for c in Hk1.classes]
-        adj = _crossing_adjacency(Hk, Hk1.classes)
-        total = sum(
-            len(a) * len(b) for a, b in itertools.combinations(Hk1.classes, 2)
-        )
-        if total == 0:
-            return RegularityVerdict(True, dens, None, "exhaustive", True)
-        worst = None
-        for bits in itertools.product((0, 1), repeat=len(verts)):
-            smask = sum(1 << v for v, keep in zip(verts, bits) if keep)
-            pairs, edges = _pair_verdict_terms(smask, class_masks, adj)
-            if pairs == 0 or Fraction(pairs) < eps * total:
-                continue
-            dev = _judge(edges, pairs, d, eps)
-            if worst is None or dev > worst[1]:
-                worst = (tuple(v for v, keep in zip(verts, bits) if keep), dev)
-        regular = worst is None or worst[1] <= eps
-        return RegularityVerdict(regular, dens, worst, "exhaustive", True)
-
-    base = sorted(Hk1.edges)
-    if len(base) > exhaustive_cap:
+    ground = _ground(Hk1)
+    if len(ground) > exhaustive_cap:
+        what = "ground vertices" if isinstance(Hk1, VertexClassGraph) else "sub-edges"
         raise CapabilityError(
-            f"{len(base)} sub-edges exceed the exhaustive cap {exhaustive_cap}; "
+            f"{len(ground)} {what} exceed the exhaustive cap {exhaustive_cap}; "
             "use check_regular_sampled"
         )
-    total = len(_clique_set(Hk1, Hk.k))
-    if total == 0:
-        return RegularityVerdict(True, dens, None, "exhaustive", True)
-    worst = None
-    for r in range(len(base) + 1):
-        for sub in itertools.combinations(base, r):
-            Q = KGraph(Hk1.k, Hk1.n, frozenset(sub))
-            kq_set = cliques(Q, Hk.k)
-            kq = len(kq_set)
-            if kq == 0 or Fraction(kq) < eps * total:
-                continue
-            hits = sum(1 for e in kq_set if e in Hk.edges)
-            dev = _judge(hits, kq, d, eps)
-            if worst is None or dev > worst[1]:
-                worst = (frozenset(sub), dev)
-    regular = worst is None or worst[1] <= eps
-    return RegularityVerdict(regular, dens, worst, "exhaustive", True)
+    candidates = range(1 << len(ground))
+    return _scan(Hk, Hk1, ground, eps, d, candidates, "exhaustive", True)
 
 
 def check_regular_sampled(
@@ -153,60 +178,9 @@ def check_regular_sampled(
     regular verdict is uncertified."""
     if trials < 1:
         raise InputError("trials must be >= 1")
-    eps, d = Fraction(eps), Fraction(d)
-    dens = relative_density(Hk, Hk1)
-    mode = f"sampled({trials},{seed})"
-
-    if isinstance(Hk1, VertexClassGraph):
-        class_masks = [sum(1 << v for v in c) for c in Hk1.classes]
-        adj = _crossing_adjacency(Hk, Hk1.classes)
-        total = sum(
-            len(a) * len(b) for a, b in itertools.combinations(Hk1.classes, 2)
-        )
-        if total == 0:
-            return RegularityVerdict(True, dens, None, mode, False)
-        verts = sorted(Hk1.vertex_set())
-        worst = None
-        for p in RETENTION_DENSITIES:
-            for t in range(trials):
-                rng = substream(seed, "retain", str(p), t)
-                if p == 1:
-                    kept = verts
-                else:
-                    kept = [v for v in verts if rng.random() < p]
-                smask = sum(1 << v for v in kept)
-                pairs, edges = _pair_verdict_terms(smask, class_masks, adj)
-                if pairs == 0 or Fraction(pairs) < eps * total:
-                    continue
-                dev = _judge(edges, pairs, d, eps)
-                if worst is None or dev > worst[1]:
-                    worst = (tuple(kept), dev)
-        regular = worst is None or worst[1] <= eps
-        return RegularityVerdict(regular, dens, worst, mode, False)
-
-    base = sorted(Hk1.edges)
-    total = len(_clique_set(Hk1, Hk.k))
-    if total == 0:
-        return RegularityVerdict(True, dens, None, mode, False)
-    worst = None
-    for p in RETENTION_DENSITIES:
-        for t in range(trials):
-            rng = substream(seed, "retain", str(p), t)
-            if p == 1:
-                sub = base
-            else:
-                sub = [e for e in base if rng.random() < p]
-            Q = KGraph(Hk1.k, Hk1.n, frozenset(sub))
-            kq_set = cliques(Q, Hk.k)
-            kq = len(kq_set)
-            if kq == 0 or Fraction(kq) < eps * total:
-                continue
-            hits = sum(1 for e in kq_set if e in Hk.edges)
-            dev = _judge(hits, kq, d, eps)
-            if worst is None or dev > worst[1]:
-                worst = (frozenset(sub), dev)
-    regular = worst is None or worst[1] <= eps
-    return RegularityVerdict(regular, dens, worst, mode, False)
+    ground = _ground(Hk1)
+    candidates = _retained(len(ground), trials, seed)
+    return _scan(Hk, Hk1, ground, eps, d, candidates, f"sampled({trials},{seed})", False)
 
 
 def check_regular(Hk, Hk1, eps, d, *, trials=40, seed=0, exhaustive_cap=DEFAULT_EXHAUSTIVE_CAP):
@@ -245,11 +219,10 @@ def check_complex_regular(
     C, eps, d_vec, *, trials=40, seed=0, exhaustive_cap=DEFAULT_EXHAUSTIVE_CAP
 ):
     """Layer-by-layer regularity, per j-subset of classes for multipartite
-    layers; returns {(j, lam): verdict} plus the worst deviation under 'worst'."""
+    layers; returns {(j, lam): verdict} plus the overall verdict under 'ok'."""
     eps = Fraction(eps)
     ell = len(C.vertex_classes)
     out = {}
-    worst = None
     for pos, j in enumerate(sorted(C.layers)):
         if j < 2:
             continue
@@ -262,10 +235,6 @@ def check_complex_regular(
                 exhaustive_cap=exhaustive_cap,
             )
             out[(j, lam)] = v
-            if not v.regular and (
-                worst is None or (v.worst_witness and v.worst_witness[1] > worst)
-            ):
-                worst = v.worst_witness[1] if v.worst_witness else None
     out["ok"] = all(v.regular for k2, v in out.items() if k2 != "ok")
     return out
 
@@ -275,7 +244,6 @@ class EquitabilityReport:
     ok: bool
     failures: list = field(default_factory=list)
     measured_lambda: Fraction = Fraction(0)
-    worst_deviation: Fraction = Fraction(0)
 
     def __bool__(self):
         return self.ok
@@ -296,7 +264,6 @@ def check_equitable_family(
     for i, c in enumerate(F.vertex_classes, start=1):
         if abs(Fraction(len(c)) - target) > lam * target:
             fails.append(f"(ii): |V_{i}|={len(c)} outside (1±{lam})·n/a1")
-    worst = Fraction(0)
     if F.k >= 3:
         d_vec = [Fraction(1, F.a[j - 1]) for j in range(2, F.k)]
         for x in address_space(F.k, F.k - 1, F.a):
@@ -308,7 +275,7 @@ def check_equitable_family(
             )
             if not res["ok"]:
                 fails.append(f"(iii): complex at {x.encode()} not regular")
-    return EquitabilityReport(not fails, fails, measured, worst)
+    return EquitabilityReport(not fails, fails, measured)
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +380,6 @@ class RegularityInstance:
     def check_epsilon_bound(self) -> bool:
         return self.epsilon <= epsilon_ri_bound(max(self.a), self.k)
 
-    @property
-    def complexity(self) -> Fraction:
-        return 1 / self.epsilon
-
     def __eq__(self, other):
         return (
             isinstance(other, RegularityInstance)
@@ -444,6 +407,30 @@ def _size_window_ok(F: PartitionFamily):
     return all(len(c) in (lo, lo + 1) for c in F.vertex_classes)
 
 
+def _polyad_report(
+    H, F, eps, density, label, failure, fails, trials, seed, exhaustive_cap
+) -> WitnessReport:
+    """check_regular at every top-level polyad x of F, at density(x, polyad)
+    and a seed labelled by label and x; each refuted x adds failure.format
+    (x=..., d=...) to the earlier fails."""
+    per_address = {}
+    worst = Fraction(0)
+    for x in address_space(F.k, F.k - 1, F.a):
+        polyad = F.polyad(x)
+        d = density(x, polyad)
+        v = check_regular(
+            H, polyad, eps, d,
+            trials=trials, seed=substream(seed, label, x.encode()).randrange(2**63),
+            exhaustive_cap=exhaustive_cap,
+        )
+        per_address[x] = v
+        if v.worst_witness:
+            worst = max(worst, v.worst_witness[1])
+        if not v.regular:
+            fails.append(failure.format(x=x.encode(), d=d))
+    return WitnessReport(not fails, fails, worst, per_address)
+
+
 def check_instance_witness(
     H: KGraph, R: RegularityInstance, F: PartitionFamily, *,
     trials=40, seed=0, exhaustive_cap=DEFAULT_EXHAUSTIVE_CAP,
@@ -464,21 +451,11 @@ def check_instance_witness(
             exhaustive_cap=exhaustive_cap,
         )
         fails.extend(f for f in eq.failures if not f.startswith("(ii)"))
-    per_address = {}
-    worst = Fraction(0)
-    for x in address_space(F.k, F.k - 1, F.a):
-        polyad = F.polyad(x)
-        v = check_regular(
-            H, polyad, R.epsilon, R.d(x),
-            trials=trials, seed=substream(seed, "poly", x.encode()).randrange(2**63),
-            exhaustive_cap=exhaustive_cap,
-        )
-        per_address[x] = v
-        if v.worst_witness:
-            worst = max(worst, v.worst_witness[1])
-        if not v.regular:
-            fails.append(f"regularity: address {x.encode()} refuted at d={R.d(x)}")
-    return WitnessReport(not fails, fails, worst, per_address)
+    return _polyad_report(
+        H, F, R.epsilon, lambda x, _: R.d(x), "poly",
+        "regularity: address {x} refuted at d={d}", fails,
+        trials, seed, exhaustive_cap,
+    )
 
 
 def check_perfectly_regular(
@@ -488,26 +465,12 @@ def check_perfectly_regular(
     """Is H (eps, d)-regular with respect to every top-level polyad for SOME
     density?  Fits d(x) := measured relative density and checks at it;
     returns (report, fitted DensityFunction)."""
-    eps = Fraction(eps)
-    fitted = {}
-    fails = []
-    per_address = {}
-    worst = Fraction(0)
-    for x in address_space(F.k, F.k - 1, F.a):
-        polyad = F.polyad(x)
-        d = relative_density(H, polyad)
-        fitted[x] = d
-        v = check_regular(
-            H, polyad, eps, d,
-            trials=trials, seed=substream(seed, "perf", x.encode()).randrange(2**63),
-            exhaustive_cap=exhaustive_cap,
-        )
-        per_address[x] = v
-        if v.worst_witness:
-            worst = max(worst, v.worst_witness[1])
-        if not v.regular:
-            fails.append(f"address {x.encode()} not regular at its own density")
-    report = WitnessReport(not fails, fails, worst, per_address)
+    report = _polyad_report(
+        H, F, eps, lambda _, polyad: relative_density(H, polyad), "perf",
+        "address {x} not regular at its own density", [],
+        trials, seed, exhaustive_cap,
+    )
+    fitted = {x: v.measured_density for x, v in report.per_address.items()}
     return report, DensityFunction(F.a, fitted)
 
 
@@ -532,11 +495,22 @@ def instance_from_text(text: str) -> RegularityInstance:
         a = tuple(int(x) for x in head[1:])
     except (ValueError, IndexError, ZeroDivisionError) as exc:
         raise InputError(f"bad header line 1: {lines[0]!r}") from exc
+    if not a or min(a) < 1:
+        raise InputError(f"bad header line 1: {lines[0]!r} needs a shape a >= 1")
     values = {}
     for idx, ln in enumerate(lines[1:], start=2):
         try:
             enc, val = ln.split()
-            values[AddressVector.decode(enc)] = Fraction(val)
+            x, v = AddressVector.decode(enc), Fraction(val)
         except (ValueError, InputError, ZeroDivisionError) as exc:
             raise InputError(f"bad density line {idx}: {ln!r}") from exc
+        if x in values:
+            raise InputError(f"bad density line {idx}: repeats address {enc}")
+        values[x] = v
+    size = address_space_size(len(a) + 1, len(a), a)
+    if size != len(values):
+        raise InputError(
+            f"bad header line 1: shape {a} has {size} addresses, "
+            f"the file gives {len(values)} densities"
+        )
     return RegularityInstance(epsilon, a, DensityFunction(a, values))

@@ -1,4 +1,5 @@
 import io
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -89,6 +90,63 @@ class TestGenCheck:
             "--family", gen_prefix + ".pf", "--seed", "23",
         ])
         assert code == 2
+
+
+
+@pytest.fixture
+def gen_prefix_k3(tmp_path):
+    prefix = str(tmp_path / "case3")
+    code, _, err = run([
+        "gen", "--n", "24", "--a", "4,2", "--density", "1/2",
+        "--epsilon", "1/10", "--seed", "3", "--out", prefix,
+    ])
+    assert code == 0, err
+    return prefix
+
+
+class TestMalformedInputs:
+    """Each malformed .pf / .ri file is exit 2 with its line number."""
+
+    @staticmethod
+    def lines(prefix, ext):
+        return open(f"{prefix}.{ext}").read().splitlines()
+
+    @staticmethod
+    def assert_rejected(prefix, tmp_path, ext, lines, line_no):
+        bad = tmp_path / f"bad.{ext}"
+        bad.write_text("\n".join(lines) + "\n")
+        files = {"pf": prefix + ".pf", "ri": prefix + ".ri", ext: str(bad)}
+        code, _, err = run([
+            "check", "--hypergraph", prefix + ".hg", "--instance", files["ri"],
+            "--family", files["pf"], "--seed", "23",
+        ])
+        assert code == 2
+        assert err.startswith("error: ") and re.search(rf"line {line_no}\b", err), err
+
+    def test_vertex_class_index_zero(self, gen_prefix, tmp_path):
+        pf = self.lines(gen_prefix, "pf")
+        pf[1] = "1 0 :" + pf[1].partition(" :")[2]
+        self.assert_rejected(gen_prefix, tmp_path, "pf", pf, 2)
+
+    def test_repeated_vertex_class(self, gen_prefix, tmp_path):
+        pf = self.lines(gen_prefix, "pf")
+        pf.append(pf[1])
+        self.assert_rejected(gen_prefix, tmp_path, "pf", pf, len(pf))
+
+    def test_repeated_level_class(self, gen_prefix_k3, tmp_path):
+        pf = self.lines(gen_prefix_k3, "pf")
+        pf.append(next(ln for ln in pf if ln.startswith("2 ")))
+        self.assert_rejected(gen_prefix_k3, tmp_path, "pf", pf, len(pf))
+
+    def test_level_outside_range(self, gen_prefix, tmp_path):
+        pf = self.lines(gen_prefix, "pf")
+        pf.append("3 1,2 1 : 0,1,2")
+        self.assert_rejected(gen_prefix, tmp_path, "pf", pf, len(pf))
+
+    def test_instance_header_without_shape(self, gen_prefix, tmp_path):
+        ri = self.lines(gen_prefix, "ri")
+        ri[0] = ri[0].split()[0]
+        self.assert_rejected(gen_prefix, tmp_path, "ri", ri, 1)
 
 
 class TestCount:

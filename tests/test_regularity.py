@@ -327,3 +327,120 @@ class TestInstanceSerialization:
     def test_density_totality_enforced(self):
         with pytest.raises(InputError):
             instance_from_text("1/10 3\n1,2 1/2\n")
+
+
+# ---------------------------------------------------------------------------
+# oracle for the scan: subsets of the sorted ground set in binary-counting
+# order (last element fastest), rescored with Fractions from raw edge sets
+
+def _oracle_terms(H, below, chosen):
+    """(|K_k(Q)|, edges of H in K_k(Q)) for the candidate chosen from the ground."""
+    if isinstance(below, VertexClassGraph):
+        cls_of = {v: i for i, c in enumerate(below.classes) for v in c}
+        kq = [p for p in itertools.combinations(sorted(chosen), 2)
+              if cls_of[p[0]] != cls_of[p[1]]]
+    else:
+        verts = sorted({v for e in chosen for v in e})
+        kq = [t for t in itertools.combinations(verts, 3)
+              if all(p in chosen for p in itertools.combinations(t, 2))]
+    return len(kq), sum(1 for e in kq if e in H.edges)
+
+
+def _oracle_ground(below):
+    if isinstance(below, VertexClassGraph):
+        return sorted(below.vertex_set())
+    return sorted(below.edges)
+
+
+def _oracle_deviation(H, below, chosen, eps, d):
+    """Deviation of a candidate, or None when it misses the floor."""
+    total, _ = _oracle_terms(H, below, _oracle_ground(below))
+    size, hits = _oracle_terms(H, below, chosen)
+    if size == 0 or Fraction(size) < eps * total:
+        return None
+    return abs(Fraction(hits) - d * size) / size
+
+
+def _oracle_exhaustive(H, below, eps, d):
+    ground = _oracle_ground(below)
+    total, all_hits = _oracle_terms(H, below, ground)
+    density = Fraction(all_hits, total) if total else Fraction(0)
+    worst = None
+    for bits in itertools.product((0, 1), repeat=len(ground)):
+        chosen = [g for g, keep in zip(ground, bits) if keep]
+        dev = _oracle_deviation(H, below, chosen, eps, d)
+        if dev is not None and (worst is None or dev > worst[1]):
+            worst = (chosen, dev)
+    return worst is None or worst[1] <= eps, density, worst
+
+
+def _random_pair_instance(rng):
+    sizes = [rng.randint(1, 3) for _ in range(rng.choice((2, 2, 3)))]
+    verts = list(range(sum(sizes)))
+    rng.shuffle(verts)
+    classes, at = [], 0
+    for s in sizes:
+        classes.append(frozenset(verts[at:at + s]))
+        at += s
+    p = rng.random()
+    H = KGraph(2, len(verts), frozenset(
+        e for e in itertools.combinations(range(len(verts)), 2) if rng.random() < p
+    ))
+    return H, VertexClassGraph(tuple(classes))
+
+
+def _random_triple_instance(rng):
+    n = rng.randint(4, 6)
+    pairs = list(itertools.combinations(range(n), 2))
+    rng.shuffle(pairs)
+    below = KGraph(2, n, frozenset(pairs[:rng.randint(3, 8)]))
+    p = rng.random()
+    H = KGraph(3, n, frozenset(
+        t for t in itertools.combinations(range(n), 3) if rng.random() < p
+    ))
+    return H, below
+
+
+class TestScanOracle:
+    @pytest.mark.parametrize("make", [_random_pair_instance, _random_triple_instance])
+    def test_exhaustive_matches_oracle(self, make):
+        import random
+        for seed in range(100):
+            rng = random.Random(seed)
+            H, below = make(rng)
+            eps = Fraction(rng.randint(1, 6), 12)
+            d = Fraction(rng.randint(0, 8), 8)
+            regular, density, worst = _oracle_exhaustive(H, below, eps, d)
+            v = check_regular_exhaustive(H, below, eps, d)
+            assert (v.regular, v.measured_density, v.certified) == (regular, density, True)
+            if worst is None:
+                assert v.worst_witness is None
+            else:
+                witness, dev = v.worst_witness
+                assert sorted(witness) == worst[0] and dev == worst[1], seed
+
+    @pytest.mark.parametrize("make", [_random_pair_instance, _random_triple_instance])
+    def test_sampled_witness_rescores(self, make):
+        import random
+        for seed in range(100):
+            rng = random.Random(seed)
+            H, below = make(rng)
+            eps = Fraction(rng.randint(1, 6), 12)
+            d = Fraction(rng.randint(0, 8), 8)
+            v = check_regular_sampled(H, below, eps, d, rng.randint(1, 5), seed)
+            assert not v.certified
+            if v.worst_witness is None:
+                assert v.regular
+                continue
+            witness, dev = v.worst_witness
+            assert _oracle_deviation(H, below, sorted(witness), eps, d) == dev
+            assert v.regular == (dev <= eps)
+            assert dev <= check_regular_exhaustive(H, below, eps, d).worst_witness[1]
+
+    def test_first_maximal_candidate_wins_ties(self):
+        # two disjoint triangles below, both edges above: every nonempty
+        # candidate deviates by 1 at d = 0, so the first in counting order wins
+        below = KGraph(2, 6, {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)})
+        H = KGraph(3, 6, {(0, 1, 2), (3, 4, 5)})
+        v = check_regular_exhaustive(H, below, Fraction(1, 2), 0)
+        assert v.worst_witness == (frozenset({(3, 4), (3, 5), (4, 5)}), 1)
