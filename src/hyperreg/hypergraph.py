@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import lt
 
 from .errors import CapabilityError, InputError
 
@@ -40,7 +41,11 @@ class KGraph:
             raise InputError(f"uniformity must be >= 1, got {self.k}")
         if self.n < 0:
             raise InputError(f"vertex count must be >= 0, got {self.n}")
-        canon = frozenset(_canon_edge(e) for e in self.edges)
+        # a strictly increasing tuple is already canonical
+        canon = frozenset(
+            e if type(e) is tuple and all(map(lt, e, e[1:])) else _canon_edge(e)
+            for e in self.edges
+        )
         for e in canon:
             if len(e) != self.k:
                 raise InputError(f"edge {e} has size {len(e)}, expected {self.k}")

@@ -16,7 +16,7 @@ from .addresses import AddressVector, address_space, address_space_size
 from .errors import CapabilityError, InputError
 from .hypergraph import KGraph, cliques
 from .partitions import PartitionFamily, VertexClassGraph
-from .rng import substream
+from .rng import substream, threshold
 
 DEFAULT_EXHAUSTIVE_CAP = 24
 RETENTION_DENSITIES = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
@@ -34,21 +34,15 @@ class RegularityVerdict:
         return self.regular
 
 
-def _clique_set(Hk1, k: int) -> set:
+def relative_density(Hk: KGraph, Hk1) -> Fraction:
+    """|H^(k) ∩ K_k(H^(k-1))| / |K_k(H^(k-1))|, 0 on empty clique sets."""
     if isinstance(Hk1, VertexClassGraph):
-        return Hk1.cliques(k)
-    return cliques(Hk1, k)
-
-
-def _density(Hk: KGraph, kk: set) -> Fraction:
+        kk = Hk1.cliques(Hk.k)
+    else:
+        kk = cliques(Hk1, Hk.k)
     if not kk:
         return Fraction(0)
     return Fraction(sum(1 for e in kk if e in Hk.edges), len(kk))
-
-
-def relative_density(Hk: KGraph, Hk1) -> Fraction:
-    """|H^(k) ∩ K_k(H^(k-1))| / |K_k(H^(k-1))|, 0 on empty clique sets."""
-    return _density(Hk, _clique_set(Hk1, Hk.k))
 
 
 # ---------------------------------------------------------------------------
@@ -70,21 +64,22 @@ def _members(ground, mask) -> list:
 
 def _pair_scorer(Hk: KGraph, classes, ground):
     """k = 2: (crossing pairs, edges) inside a vertex mask."""
+    if Hk.k != 2:
+        raise InputError("a vertex-class polyad scores 2-graphs only")
     top = len(ground) - 1
     pos = {v: top - i for i, v in enumerate(ground)}  # vertex -> bit position
-    adj = Hk.adjacency_masks()
-    class_masks, nbrs = [], [0] * len(ground)
-    for c in classes:
-        own = sum(1 << v for v in c)
+    cls, class_masks = {}, []
+    for i, c in enumerate(classes):
+        for v in c:
+            if v in cls:
+                raise InputError("vertex classes are not disjoint")
+            cls[v] = i
         class_masks.append(sum(1 << pos[v] for v in c))
-        for u in c:
-            rest = adj[u] & ~own if u < Hk.n else 0
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                v = low.bit_length() - 1
-                if v in pos:
-                    nbrs[pos[u]] |= 1 << pos[v]
+    nbrs = [0] * len(ground)
+    for u, v in Hk.edges:
+        if u in cls and v in cls and cls[u] != cls[v]:
+            nbrs[pos[u]] |= 1 << pos[v]
+            nbrs[pos[v]] |= 1 << pos[u]
 
     def score(mask):
         size = mask.bit_count()
@@ -111,32 +106,37 @@ def _clique_scorer(Hk: KGraph, Hk1: KGraph, ground):
 def _retained(size: int, trials: int, seed: int):
     """Independent retention at each density; p = 1 keeps the full ground
     set, which is scored once however many trials there are."""
-    top = size - 1
     for p in RETENTION_DENSITIES:
         if p == 1:
             yield (1 << size) - 1
             continue
-        for t in range(trials):
-            rng = substream(seed, "retain", str(p), t)
-            yield sum(1 << (top - i) for i in range(size) if rng.random() < p)
+        t = threshold(p)
+        for trial in range(trials):
+            draw = substream(seed, "retain", str(p), trial).random
+            # the i-th draw decides ground[i], the (size-1-i)-th bit; the
+            # leading "0" keeps an empty ground set a valid literal
+            yield int("0" + "".join("1" if draw() < t else "0" for _ in range(size)), 2)
 
 
 def _scan(Hk, Hk1, ground, eps, d, candidates, mode, certified) -> RegularityVerdict:
     """Score every candidate over the floor eps*|K_k(Hk1)|; the worst is the
-    first of maximal deviation |hits - d*size| / size."""
+    first of maximal deviation |hits - d*size| / size.  The full ground set
+    is scored once: it gives K_k(Hk1), the measured density and the floor."""
     eps, d = Fraction(eps), Fraction(d)
-    kk = _clique_set(Hk1, Hk.k)
-    dens = _density(Hk, kk)
-    if not kk:
-        return RegularityVerdict(True, dens, None, mode, certified)
     if isinstance(Hk1, VertexClassGraph):
         score = _pair_scorer(Hk, Hk1.classes, ground)
     else:
         score = _clique_scorer(Hk, Hk1, ground)
-    floor = eps.numerator * len(kk)
+    full = (1 << len(ground)) - 1
+    full_score = score(full)
+    total, total_hits = full_score
+    if not total:
+        return RegularityVerdict(True, Fraction(0), None, mode, certified)
+    dens = Fraction(total_hits, total)
+    floor = eps.numerator * total
     worst = None  # (deviation numerator, denominator, mask)
     for mask in candidates:
-        size, hits = score(mask)
+        size, hits = full_score if mask == full else score(mask)
         if not size or size * eps.denominator < floor:
             continue
         num = abs(hits * d.denominator - d.numerator * size)

@@ -8,6 +8,7 @@ were drawn first.
 """
 
 import hashlib
+import math
 import random
 
 
@@ -22,3 +23,15 @@ def derive_seed(master: int, *labels) -> int:
 
 def substream(master: int, *labels) -> random.Random:
     return random.Random(derive_seed(master, *labels))
+
+
+def threshold(p) -> float:
+    """The float t with random() < t exactly when random() < p, for p in [0, 1].
+
+    random() returns m/2**53 for an integer m in [0, 2**53), and
+    m/2**53 < p  <=>  m < p*2**53  <=>  m < ceil(p*2**53), because m is an
+    integer.  So t = ceil(p*2**53)/2**53; its numerator is an integer
+    <= 2**53 over a power of two, which a float holds exactly.  p may be a
+    Fraction: the product and the ceiling are computed exactly.
+    """
+    return math.ceil(p * 2**53) / 2**53

@@ -20,7 +20,7 @@ from .errors import ConstructionError, InputError
 from .hypergraph import KGraph
 from .partitions import PartitionFamily
 from .regularity import RegularityInstance, check_regular_sampled
-from .rng import substream
+from .rng import substream, threshold
 
 
 # ---------------------------------------------------------------------------
@@ -79,12 +79,9 @@ def plant(spec: PlantSpec):
     edges = set()
     top_addresses = address_space(k, k - 1, a)
     for x in top_addresses:
-        d = R.d(x)
-        pk = sorted(F.polyad_cliques(x, k))
-        rng = substream(spec.seed, "edge", x.encode())
-        for L in pk:
-            if rng.random() < d:
-                edges.add(L)
+        t = threshold(R.d(x))
+        draw = substream(spec.seed, "edge", x.encode()).random
+        edges.update(L for L in sorted(F.polyad_cliques(x, k)) if draw() < t)
     H = KGraph(k, n, frozenset(edges))
 
     eps_hat = None
@@ -106,11 +103,7 @@ def plant(spec: PlantSpec):
 def _assign_classes(items, probs, rng):
     """Independent assignment to classes 1..s with the given probabilities;
     class 0 collects the remainder."""
-    cuts = []
-    acc = Fraction(0)
-    for p in probs:
-        acc += Fraction(p)
-        cuts.append(acc)
+    cuts = [threshold(c) for c in itertools.accumulate(map(Fraction, probs))]
     buckets = {i: set() for i in range(len(probs) + 1)}
     for it in items:
         u = rng.random()

@@ -25,6 +25,7 @@ from hyperreg import (
 from hyperreg.errors import CapabilityError
 from hyperreg.partitions import VertexClassGraph
 from hyperreg.regularity import check_perfectly_regular, epsilon_cl
+from hyperreg.rng import substream
 
 from conftest import planted, random_kgraph
 
@@ -83,6 +84,16 @@ class TestExhaustive:
             top, KGraph(2, 6, frozenset(list(below.edges)[:8])), Fraction(1, 4), 1
         )
         assert v.regular
+
+
+def test_overlapping_classes_rejected():
+    H = KGraph(2, 4, frozenset({(0, 2), (1, 3)}))
+    below = VertexClassGraph((frozenset({0, 1}), frozenset({1, 2, 3})))
+    eps, d = Fraction(1, 4), Fraction(1, 2)
+    with pytest.raises(InputError, match="vertex classes are not disjoint"):
+        check_regular_exhaustive(H, below, eps, d)
+    with pytest.raises(InputError, match="vertex classes are not disjoint"):
+        check_regular_sampled(H, below, eps, d, 3, 0)
 
 
 class TestSampled:
@@ -374,6 +385,23 @@ def _oracle_exhaustive(H, below, eps, d):
     return worst is None or worst[1] <= eps, density, worst
 
 
+def _oracle_sampled(H, below, eps, d, trials, seed):
+    """The sampled checker's worst candidate, with retention drawn as
+    random() < Fraction: each density's trials in order, the full ground last."""
+    ground = _oracle_ground(below)
+    candidates = []
+    for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+        for t in range(trials):
+            rng = substream(seed, "retain", str(p), t)
+            candidates.append([g for g in ground if rng.random() < p])
+    worst = None
+    for chosen in candidates + [ground]:
+        dev = _oracle_deviation(H, below, chosen, eps, d)
+        if dev is not None and (worst is None or dev > worst[1]):
+            worst = (chosen, dev)
+    return worst
+
+
 def _random_pair_instance(rng):
     sizes = [rng.randint(1, 3) for _ in range(rng.choice((2, 2, 3)))]
     verts = list(range(sum(sizes)))
@@ -436,6 +464,20 @@ class TestScanOracle:
             assert _oracle_deviation(H, below, sorted(witness), eps, d) == dev
             assert v.regular == (dev <= eps)
             assert dev <= check_regular_exhaustive(H, below, eps, d).worst_witness[1]
+
+    def test_sampled_witness_matches_fraction_draws(self):
+        import random
+        instances = []
+        for seed in range(6):
+            H, F, _ = planted((3,), 24, seed, density=Fraction(2, 7))
+            instances.append((H, F.polyad(F.class_addresses(2)[0])))
+        instances += [_random_triple_instance(random.Random(seed)) for seed in range(20)]
+        for seed, (H, below) in enumerate(instances):
+            for d in (Fraction(1, 3), Fraction(2, 7), Fraction(5, 9)):
+                v = check_regular_sampled(H, below, Fraction(1, 6), d, 2, seed)
+                w = v.worst_witness
+                got = w and (sorted(w[0]), w[1])
+                assert got == _oracle_sampled(H, below, Fraction(1, 6), d, 2, seed)
 
     def test_first_maximal_candidate_wins_ties(self):
         # two disjoint triangles below, both edges above: every nonempty

@@ -14,7 +14,9 @@ from hyperreg import (
     family_refines,
     sym_diff_distance,
 )
+from hyperreg.addresses import address_space
 from hyperreg.partitions import PartitionFamily
+from hyperreg.rng import substream
 from hyperreg.transforms import (
     PlantSpec,
     equalize,
@@ -126,6 +128,49 @@ class TestSlice:
             slice(H, F.polyad(x), Fraction(1, 100), Fraction(1, 1000),
                   [Fraction(1, 2)], 0, retry_cap=2)
         assert exc.value.condition == "slicing"
+
+
+# Slow oracles for the Bernoulli draw sites: the library compares random()
+# with a float threshold, these compare it with the Fraction itself.
+NON_DYADIC = (Fraction(1, 3), Fraction(2, 7), Fraction(5, 9))
+
+
+def _oracle_plant_edges(R, F, seed):
+    edges = set()
+    for x in address_space(R.k, R.k - 1, R.a):
+        rng = substream(seed, "edge", x.encode())
+        edges.update(L for L in sorted(F.polyad_cliques(x, R.k)) if rng.random() < R.d(x))
+    return frozenset(edges)
+
+
+def _oracle_assign(items, probs, rng):
+    cuts = list(itertools.accumulate(probs))
+    buckets = [set() for _ in range(len(probs) + 1)]
+    for it in items:
+        u = rng.random()
+        buckets[next((i for i, c in enumerate(cuts, start=1) if u < c), 0)].add(it)
+    return [frozenset(b) for b in buckets]
+
+
+class TestDrawOracle:
+    @pytest.mark.parametrize("a, n", [((3,), 30), ((4, 2), 16)])
+    def test_plant_edges_match_fraction_draws(self, a, n):
+        space = address_space(len(a) + 1, len(a), a)
+        d = DensityFunction(a, {x: NON_DYADIC[i % 3] for i, x in enumerate(space)})
+        R = RegularityInstance(Fraction(1, 10), a, d)
+        for seed in range(4):
+            H, F, _ = plant(PlantSpec(R, n, seed))
+            assert H.edges and H.edges == _oracle_plant_edges(R, F, seed)
+
+    @pytest.mark.parametrize("probs", [NON_DYADIC[:1] * 2, NON_DYADIC[1:]])
+    def test_slice_classes_match_fraction_draws(self, probs):
+        for seed in range(4):
+            H, F, R = planted((3,), 40, seed, density=NON_DYADIC[2])
+            x = F.class_addresses(2)[0]
+            out = slice(H, F.polyad(x), NON_DYADIC[2], Fraction(1, 10), probs, seed,
+                        recheck=False)
+            ref = _oracle_assign(sorted(H.edges), probs, substream(seed, "slice", 0))
+            assert [c.edges for c in out] == ref
 
 
 class TestRefine:
