@@ -13,15 +13,19 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 from .addresses import AddressVector, address_space
 from .errors import CapabilityError, InputError
 from .hypergraph import (
     KGraph,
-    are_induced_isomorphic,
+    _induced_hits,
+    _require_distinct,
+    _triple_census,
     automorphism_count,
+    cliques,
     count_induced,
+    crossing_sets,
 )
 from .partitions import PartitionFamily
 from .regularity import DensityFunction, RegularityInstance
@@ -101,12 +105,7 @@ def ic(F: KGraph, d: DensityFunction) -> ICBreakdown:
 
 
 def ic_family(family, d: DensityFunction) -> Fraction:
-    members = list(family)
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if are_induced_isomorphic(members[i], members[j]):
-                raise InputError("family contains isomorphic duplicates")
-    return sum((ic(F, d).total for F in members), Fraction(0))
+    return sum((ic(F, d).total for F in _require_distinct(family)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -161,53 +160,12 @@ class CheckReport:
     lines: list = field(default_factory=list)
     ratio: Fraction = None
 
-    def render(self) -> str:
-        return "\n".join(self.lines) + "\n"
-
     def __bool__(self):
         return self.ok
 
 
 def _report_line(metric, value, bound, ok) -> str:
     return f"{metric} {value} {bound} {'pass' if ok else 'fail'}"
-
-
-def _crossing_cliques_of_top(C) -> int:
-    """Crossing ell-sets forming a clique of the top layer (one vertex per
-    class); lower-layer support is automatic inside a complex."""
-    k = C.k
-    top = C.layers[k]
-    classes = [sorted(c) for c in C.vertex_classes]
-    if k == 2:
-        adj = top.adjacency_masks()
-        masks = [sum(1 << v for v in c) for c in classes]
-        ell = len(classes)
-        count = 0
-
-        def extend(chosen, idx):
-            nonlocal count
-            if idx == ell:
-                count += 1
-                return
-            pool = masks[idx]
-            for v in chosen:
-                pool &= adj[v]
-            m = pool
-            while m:
-                low = m & (-m)
-                m ^= low
-                extend(chosen + [low.bit_length() - 1], idx + 1)
-
-        extend([], 0)
-        return count
-    count = 0
-    for combo in itertools.product(*classes):
-        if all(
-            tuple(sorted(sub)) in top.edges
-            for sub in itertools.combinations(combo, k)
-        ):
-            count += 1
-    return count
 
 
 def verify_counting_lemma(C, d_vec, gamma, p_top=None) -> CheckReport:
@@ -230,7 +188,8 @@ def verify_counting_lemma(C, d_vec, gamma, p_top=None) -> CheckReport:
         pred *= Fraction(p_top[lam]) if p_top else dmap[k]
     for j in range(2, k):
         pred *= dmap[j] ** comb(ell, j)
-    actual = _crossing_cliques_of_top(C)
+    # an ell-clique of a crossing top layer has one vertex in each class
+    actual = len(cliques(C.layers[k], ell))
     if pred == 0:
         ok = actual == 0
         return CheckReport(ok, [_report_line("clique_ratio", actual, 0, ok)], None)
@@ -249,52 +208,40 @@ def _crossing_triple_census(H: KGraph, classes):
     2-graph; on three vertices the isomorphism class is the edge count."""
     adj = H.adjacency_masks()
     masks = [sum(1 << v for v in c) for c in classes]
-    out = [0, 0, 0, 0]
+    total = incid = wedges = tri = 0
     for ia, ib, ic_ in itertools.combinations(range(len(classes)), 3):
         A, B, C = (sorted(classes[i]) for i in (ia, ib, ic_))
         ma, mb, mc = masks[ia], masks[ib], masks[ic_]
-        tri = 0
         for a_v in A:
-            nb = adj[a_v] & mb
-            m = nb
+            m = adj[a_v] & mb
             while m:
                 low = m & (-m)
                 b_v = low.bit_length() - 1
                 m ^= low
                 tri += (adj[a_v] & adj[b_v] & mc).bit_count()
-        wedges = 0
         for center, left, right in ((A, mb, mc), (B, ma, mc), (C, ma, mb)):
             for v in center:
                 wedges += (adj[v] & left).bit_count() * (adj[v] & right).bit_count()
-        incid = 0
         for src, dst_mask, wt in (
             (A, mb, len(C)), (A, mc, len(B)), (B, mc, len(A))
         ):
             incid += sum((adj[v] & dst_mask).bit_count() for v in src) * wt
-        c2 = wedges - 3 * tri
-        c1 = incid - 2 * c2 - 3 * tri
-        total = len(A) * len(B) * len(C)
-        out[0] += total - c1 - c2 - tri
-        out[1] += c1
-        out[2] += c2
-        out[3] += tri
-    return out
+        total += len(A) * len(B) * len(C)
+    return _triple_census(total, incid, wedges, tri)
 
 
 def count_crossing_induced(F: KGraph, H: KGraph, vertex_classes):
     """(crossing-induced copies of F in H, number of crossing ell-sets)."""
-    from .hypergraph import canonical_form, crossing_sets, induce
-
+    if F.k != H.k:
+        raise InputError("pattern and host uniformity differ")
     ell = F.n
     classes = [frozenset(c) for c in vertex_classes]
-    total = 0
-    for chosen in itertools.combinations([len(c) for c in classes], ell):
-        p = 1
-        for s in chosen:
-            p *= s
-        total += p
+    total = sum(map(prod, itertools.combinations([len(c) for c in classes], ell)))
     if total == 0:
         return 0, 0
+    for v in itertools.chain.from_iterable(classes):
+        if not 0 <= v < H.n:
+            raise InputError(f"vertex {v} out of range [0, {H.n})")
     if H.k == 2 and ell == 3:
         census = _crossing_triple_census(H, classes)
         return census[len(F.edges)], total
@@ -302,15 +249,7 @@ def count_crossing_induced(F: KGraph, H: KGraph, vertex_classes):
         raise CapabilityError(
             f"{total} crossing sets exceed the scan cap {CROSSING_SCAN_CAP}"
         )
-    target = tuple(sorted(canonical_form(F).edges))
-    hits = 0
-    for S in crossing_sets(classes, ell):
-        sub = induce(H, S)
-        if len(sub.edges) == len(F.edges) and (
-            tuple(sorted(canonical_form(sub).edges)) == target
-        ):
-            hits += 1
-    return hits, total
+    return _induced_hits(F, H, crossing_sets(classes, ell)), total
 
 
 def verify_ic_vs_pr(

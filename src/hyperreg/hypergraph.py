@@ -73,7 +73,7 @@ class KGraph:
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
 
-    def adjacency_masks(self) -> dict:
+    def adjacency_masks(self) -> list:
         """For k=2 only: per-vertex neighbour bitmasks (int bitsets)."""
         if self.k != 2:
             raise InputError("adjacency_masks is a 2-graph helper")
@@ -195,32 +195,30 @@ def _degree_multiset(H: KGraph):
     return tuple(sorted(H.degree(v) for v in range(H.n)))
 
 
+def _isomorphisms(F: KGraph, G: KGraph):
+    """Yield each bijection perm of [0, n) taking every edge of F to an edge
+    of G, pruned by vertex degree; with equal edge counts these are exactly
+    the isomorphisms F -> G."""
+    fdeg = [F.degree(v) for v in range(F.n)]
+    gdeg = [G.degree(v) for v in range(G.n)]
+    for perm in itertools.permutations(range(G.n)):
+        if any(fdeg[i] != gdeg[perm[i]] for i in range(F.n)):
+            continue
+        if all(tuple(sorted(perm[v] for v in e)) in G.edges for e in F.edges):
+            yield perm
+
+
 def are_induced_isomorphic(F: KGraph, G: KGraph) -> bool:
     """Exhaustive bijection search with degree-sequence pruning."""
     if F.k != G.k or F.n != G.n or len(F.edges) != len(G.edges):
         return False
     if _degree_multiset(F) != _degree_multiset(G):
         return False
-    fdeg = [F.degree(v) for v in range(F.n)]
-    gdeg = [G.degree(v) for v in range(G.n)]
-    gverts = list(range(G.n))
-    for perm in itertools.permutations(gverts):
-        if any(fdeg[i] != gdeg[perm[i]] for i in range(F.n)):
-            continue
-        if all(tuple(sorted(perm[v] for v in e)) in G.edges for e in F.edges):
-            return True
-    return False
+    return next(_isomorphisms(F, G), None) is not None
 
 
 def automorphism_count(F: KGraph) -> int:
-    fdeg = [F.degree(v) for v in range(F.n)]
-    count = 0
-    for perm in itertools.permutations(range(F.n)):
-        if any(fdeg[i] != fdeg[perm[i]] for i in range(F.n)):
-            continue
-        if all(tuple(sorted(perm[v] for v in e)) in F.edges for e in F.edges):
-            count += 1
-    return count
+    return sum(1 for _ in _isomorphisms(F, F))
 
 
 @lru_cache(maxsize=None)
@@ -252,6 +250,16 @@ def all_iso_classes(ell: int, k: int) -> list:
     return list(seen.values())
 
 
+def _triple_census(total, incidences, wedges, triangles):
+    """(c0, c1, c2, c3), the triples of a 2-graph spanning exactly i edges,
+    from the number of triples, of (edge, third vertex) incidences, of
+    wedges and of triangles.  Linear, so sums of inputs give sums of
+    censuses."""
+    c2 = wedges - 3 * triangles
+    c1 = incidences - 2 * c2 - 3 * triangles
+    return total - c1 - c2 - triangles, c1, c2, triangles
+
+
 def _count_induced_triples_2graph(H: KGraph):
     """Exact triple census of a 2-graph via wedge/triangle identities.
 
@@ -264,10 +272,24 @@ def _count_induced_triples_2graph(H: KGraph):
         triangles += (adj[u] & adj[v]).bit_count()
     triangles //= 3
     wedges = sum(comb(adj[v].bit_count(), 2) for v in range(n))
-    c2 = wedges - 3 * triangles
-    c1 = len(H.edges) * (n - 2) - 2 * c2 - 3 * triangles
-    c0 = comb(n, 3) - c1 - c2 - triangles
-    return c0, c1, c2, triangles
+    return _triple_census(comb(n, 3), len(H.edges) * (n - 2), wedges, triangles)
+
+
+def _induced_hits(F: KGraph, H: KGraph, vertex_sets) -> int:
+    """How many of vertex_sets, each an ascending tuple, induce a copy of F
+    in H.
+
+    H[S] is read from the C(ell, k) slots of S, relabelled by ascending
+    vertex id as in induce, and matched by canonical form."""
+    k, ell = F.k, F.n
+    slots = list(itertools.combinations(range(ell), k))
+    target = _canonical_edges(k, ell, F.edges)
+    hits = 0
+    for S in vertex_sets:
+        sub = frozenset(T for T in slots if tuple(S[i] for i in T) in H.edges)
+        if len(sub) == len(F.edges) and _canonical_edges(k, ell, sub) == target:
+            hits += 1
+    return hits
 
 
 def count_induced(F: KGraph, H: KGraph, allow_large: bool = False) -> Fraction:
@@ -289,25 +311,22 @@ def count_induced(F: KGraph, H: KGraph, allow_large: bool = False) -> Fraction:
     if H.k == 2 and ell == 3:
         # each edge count 0..3 names exactly one class of 3-vertex 2-graphs
         return Fraction(_count_induced_triples_2graph(H)[len(F.edges)], total)
-
-    target = tuple(sorted(canonical_form(F).edges))
-    hits = 0
-    for S in itertools.combinations(range(H.n), ell):
-        sub = induce(H, S)
-        if len(sub.edges) != len(F.edges):
-            continue
-        if tuple(sorted(canonical_form(sub).edges)) == target:
-            hits += 1
+    hits = _induced_hits(F, H, itertools.combinations(range(H.n), ell))
     return Fraction(hits, total)
+
+
+def _require_distinct(family) -> list:
+    """The family as a list; raises if two members are isomorphic."""
+    members = list(family)
+    for A, B in itertools.combinations(members, 2):
+        if are_induced_isomorphic(A, B):
+            raise InputError("family contains isomorphic duplicates")
+    return members
 
 
 def count_induced_family(family, H: KGraph, allow_large: bool = False) -> Fraction:
     """Pr(F, H) summed over a family of pairwise non-isomorphic patterns."""
-    members = list(family)
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if are_induced_isomorphic(members[i], members[j]):
-                raise InputError("family contains isomorphic duplicates")
+    members = _require_distinct(family)
     return sum(
         (count_induced(F, H, allow_large=allow_large) for F in members),
         Fraction(0),

@@ -11,6 +11,8 @@ from hyperreg import (
     InputError,
     KGraph,
     RegularityInstance,
+    cliques,
+    count_induced,
     crossing_sets,
     ic,
     ic_family,
@@ -23,7 +25,12 @@ from hyperreg.counting import (
     verify_counting_lemma,
     verify_ic_vs_pr,
 )
-from hyperreg.hypergraph import all_iso_classes, canonical_form, induce
+from hyperreg.hypergraph import (
+    all_iso_classes,
+    are_induced_isomorphic,
+    canonical_form,
+    induce,
+)
 from hyperreg.rng import substream
 
 from conftest import planted
@@ -207,6 +214,51 @@ class TestCountingLemma:
         rep = verify_counting_lemma(C, {2: 0}, Fraction(0), p_top=p)
         assert rep.ok and rep.ratio == 1
 
+    @pytest.mark.parametrize("ell,seed", [(3, 1), (4, 2), (4, 3), (5, 4)])
+    def test_k3_matches_product_count(self, ell, seed):
+        C = random_k3_complex(ell, 3, 0.8, seed)
+        top = C.layers[3]
+        direct = sum(
+            all(sub in top.edges for sub in itertools.combinations(sorted(combo), 3))
+            for combo in itertools.product(*C.vertex_classes)
+        )
+        half = Fraction(1, 2)
+        rep = verify_counting_lemma(C, {2: half, 3: half}, Fraction(1))
+        pred = 3 ** ell * half ** (comb(ell, 3) + comb(ell, 2))
+        assert direct > 0
+        assert rep.ratio == direct / pred
+
+    def test_fewer_classes_than_uniformity_rejected(self):
+        C = Complex(({0, 1}, {2, 3}), {2: KGraph(2, 4), 3: KGraph(3, 4)})
+        half = Fraction(1, 2)
+        with pytest.raises(InputError, match="below uniformity"):
+            verify_counting_lemma(C, {2: half, 3: half}, Fraction(1, 10))
+
+
+def random_k3_complex(ell, m, p, seed):
+    classes = tuple(frozenset(range(i * m, (i + 1) * m)) for i in range(ell))
+    rng = substream(seed, "k3-complex", ell, m)
+    pairs = KGraph(2, ell * m, frozenset(
+        e for e in sorted(crossing_sets(classes, 2)) if rng.random() < p
+    ))
+    triples = frozenset(e for e in sorted(cliques(pairs, 3)) if rng.random() < p)
+    return Complex(classes, {2: pairs, 3: KGraph(3, ell * m, triples)})
+
+
+def naive_induced(F, H, vertex_sets):
+    return sum(are_induced_isomorphic(F, induce(H, S)) for S in vertex_sets)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_k3_induced_counts_match_naive(seed):
+    H, Fw, _ = planted((4, 2), 16, seed)
+    all_sets = list(itertools.combinations(range(H.n), 4))
+    crossing = crossing_sets(Fw.vertex_classes, 4)
+    for P in all_iso_classes(4, 3):
+        assert count_induced(P, H) == Fraction(naive_induced(P, H, all_sets), len(all_sets))
+        hits, total = count_crossing_induced(P, H, Fw.vertex_classes)
+        assert (hits, total) == (naive_induced(P, H, crossing), len(crossing))
+
 
 class TestICvsPr:
     def test_crossing_census_matches_naive(self):
@@ -231,6 +283,17 @@ class TestICvsPr:
             hits, total = count_crossing_induced(P, H, Fw.vertex_classes)
             shares.append(Fraction(hits, total))
         assert sum(shares) == 1
+
+    def test_uniformity_mismatch_rejected(self):
+        H = KGraph(3, 6, {(0, 2, 4)})
+        with pytest.raises(InputError, match="uniformity differ"):
+            count_crossing_induced(KGraph(2, 3), H, [{0, 1}, {2, 3}, {4, 5}])
+
+    @pytest.mark.parametrize("P", [KGraph(2, 3), KGraph(2, 4)])
+    def test_class_vertex_out_of_range_rejected(self, P):
+        H = KGraph(2, 6, {(0, 2)})
+        with pytest.raises(InputError, match="out of range"):
+            count_crossing_induced(P, H, [{0, 1}, {2, 3}, {4, 5}, {9}])
 
     def test_report_lines_format(self):
         H, Fw, R = planted((4,), 60, 4)
