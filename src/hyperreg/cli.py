@@ -13,10 +13,9 @@ import sys
 from fractions import Fraction
 
 from .addresses import AddressVector
-from .counting import ic, ic_family, verify_ic_vs_pr
+from .counting import ic, ic_family
 from .errors import CapabilityError, ConstructionError, InputError
 from .hypergraph import (
-    KGraph,
     all_iso_classes,
     count_induced,
     induce,
@@ -35,7 +34,6 @@ from .sampling import induce_family, run_transfer_experiment, sample_vertices, s
 from .transforms import (
     PlantSpec,
     equalize,
-    perturb_family,
     plant,
     reconstruct,
     refine_family,

@@ -239,9 +239,12 @@ def count_crossing_induced(F: KGraph, H: KGraph, vertex_classes):
     total = sum(map(prod, itertools.combinations([len(c) for c in classes], ell)))
     if total == 0:
         return 0, 0
-    for v in itertools.chain.from_iterable(classes):
+    members = list(itertools.chain.from_iterable(classes))
+    for v in members:
         if not 0 <= v < H.n:
             raise InputError(f"vertex {v} out of range [0, {H.n})")
+    if len(set(members)) < len(members):
+        raise InputError("vertex classes are not disjoint")
     if H.k == 2 and ell == 3:
         census = _crossing_triple_census(H, classes)
         return census[len(F.edges)], total

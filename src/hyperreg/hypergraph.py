@@ -403,7 +403,8 @@ def kgraph_from_text(text: str) -> KGraph:
         raise InputError("empty hypergraph file")
     try:
         k, n = (int(x) for x in lines[0].split())
-    except ValueError as exc:
+        KGraph(k, n)
+    except (ValueError, InputError) as exc:
         raise InputError(f"bad header line 1: {lines[0]!r}") from exc
     edges = []
     for idx, ln in enumerate(lines[1:], start=2):
@@ -412,4 +413,13 @@ def kgraph_from_text(text: str) -> KGraph:
         except ValueError as exc:
             raise InputError(f"bad edge at line {idx}: {ln!r}") from exc
         edges.append(e)
-    return KGraph(k, n, frozenset(edges))
+    try:
+        return KGraph(k, n, frozenset(edges))
+    except InputError:
+        # only a failed parse pays for finding the offending line
+        for idx, (ln, e) in enumerate(zip(lines[1:], edges), start=2):
+            try:
+                KGraph(k, n, (e,))
+            except InputError as exc:
+                raise InputError(f"bad edge at line {idx}: {ln!r}: {exc}") from exc
+        raise

@@ -14,9 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
-from .addresses import AddressVector, address_space, address_space_size, restrictions
+from .addresses import AddressVector, address_space, address_space_size
 from .errors import ConstructionError, InputError
 from .hypergraph import KGraph, cliques, crossing_sets
 
@@ -504,6 +503,12 @@ def family_from_text(text: str) -> PartitionFamily:
             raise InputError(f"bad family line {idx}: class {key} outside 1..{a[0]}")
         if key in into:
             raise InputError(f"bad family line {idx}: repeats class {left.strip()!r}")
+        if j == 1:
+            for v in sorted(value):
+                if not 0 <= v < n:
+                    raise InputError(f"bad family line {idx}: vertex {v} out of range [0, {n})")
+                if any(v in c for c in vertex_classes.values()):
+                    raise InputError(f"bad family line {idx}: vertex {v} is in another class")
         into[key] = value
     vertex_classes = [vertex_classes.get(i, frozenset()) for i in range(1, a[0] + 1)]
     return PartitionFamily(k, n, a, vertex_classes, level_classes, relaxed=relaxed)

@@ -36,13 +36,7 @@ class RegularityVerdict:
 
 def relative_density(Hk: KGraph, Hk1) -> Fraction:
     """|H^(k) ∩ K_k(H^(k-1))| / |K_k(H^(k-1))|, 0 on empty clique sets."""
-    if isinstance(Hk1, VertexClassGraph):
-        kk = Hk1.cliques(Hk.k)
-    else:
-        kk = cliques(Hk1, Hk.k)
-    if not kk:
-        return Fraction(0)
-    return Fraction(sum(1 for e in kk if e in Hk.edges), len(kk))
+    return _scan(Hk, Hk1, _ground(Hk1), 1, 0, (), "density", True).measured_density
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,9 @@ def induce_family(F: PartitionFamily, Q) -> PartitionFamily:
     Q = V, in which case it is structurally identical to F.
     """
     Q = sorted(set(Q))
+    for v in Q:
+        if not 0 <= v < F.n:
+            raise InputError(f"vertex {v} out of range [0, {F.n})")
     relabel = {v: i for i, v in enumerate(Q)}
     qset = set(Q)
     vcs = tuple(
@@ -86,6 +89,8 @@ def _edges_inside(H: KGraph, adj, qset) -> int:
 def check_edge_concentration(H: KGraph, q: int, nu, trials: int, seed) -> ConcentrationReport:
     """Fraction of uniform q-samples with |H[Q]| within nu·C(q,k) of the
     proportional count, against the 1 - 2e^(-nu^2 q / (8 k^2)) prediction."""
+    if trials < 1:
+        raise InputError("trials must be >= 1")
     nu = Fraction(nu)
     k, n = H.k, H.n
     expected = Fraction(q, n) ** k * len(H.edges)

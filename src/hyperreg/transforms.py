@@ -41,16 +41,39 @@ class PlantSpec:
             )
 
 
-def _equipartition(n: int, parts: int):
-    """Consecutive-id classes with sizes floor(n/parts) or +1."""
-    base, extra = divmod(n, parts)
-    out = []
-    start = 0
+def _equipartition(ids, parts: int) -> tuple:
+    """Consecutive runs of the sorted ids with sizes floor(len/parts) or +1,
+    the larger runs first."""
+    base, extra = divmod(len(ids), parts)
+    out, start = [], 0
     for i in range(parts):
         size = base + (1 if i < extra else 0)
-        out.append(frozenset(range(start, start + size)))
+        out.append(frozenset(ids[start:start + size]))
         start += size
     return tuple(out)
+
+
+def _build_levels(k, n, a, vcs, label):
+    """Level classes over the vertex classes vcs, built bottom-up: each
+    level-j polyad x with cliques, in address order, gets its classes from
+    label(j, x, sorted cliques) -> {label: sets}.  Also returns the first
+    (x, b) with 1 <= b <= a_j that such a polyad leaves empty, else None."""
+    level_classes = {}
+    starved = None
+    for j in range(2, k):
+        partial = PartitionFamily(k, n, a, vcs, level_classes)
+        level_classes[j] = {}
+        for x in address_space(j, j - 1, a):
+            pk = sorted(partial.polyad_cliques(x, j))
+            if not pk:
+                continue
+            classes = label(j, x, pk)
+            for b, sets in classes.items():
+                level_classes[j][(x, b)] = frozenset(sets)
+            empty = [b for b in range(1, a[j - 1] + 1) if not classes.get(b)]
+            if empty and starved is None:
+                starved = (x, empty[0])
+    return level_classes, starved
 
 
 def plant(spec: PlantSpec):
@@ -59,21 +82,16 @@ def plant(spec: PlantSpec):
     edges per top-level polyad."""
     R = spec.instance
     k, a, n = R.k, R.a, spec.n
-    vcs = _equipartition(n, a[0])
-    level_classes = {}
-    for j in range(2, k):
-        partial = PartitionFamily(k, n, a, vcs, level_classes)
-        level_classes[j] = {}
-        for x in address_space(j, j - 1, a):
-            pk = sorted(partial.polyad_cliques(x, j))
-            if not pk:
-                continue
-            rng = substream(spec.seed, "label", j, x.encode())
-            buckets = {b: set() for b in range(1, a[j - 1] + 1)}
-            for L in pk:
-                buckets[rng.randrange(a[j - 1]) + 1].add(L)
-            for b, edges in buckets.items():
-                level_classes[j][(x, b)] = frozenset(edges)
+    vcs = _equipartition(range(n), a[0])
+
+    def uniform_label(j, x, pk):
+        rng = substream(spec.seed, "label", j, x.encode())
+        buckets = {b: set() for b in range(1, a[j - 1] + 1)}
+        for L in pk:
+            buckets[rng.randrange(a[j - 1]) + 1].add(L)
+        return buckets
+
+    level_classes, _ = _build_levels(k, n, a, vcs, uniform_label)
     F = PartitionFamily(k, n, a, vcs, level_classes)
 
     edges = set()
@@ -167,73 +185,45 @@ def refine_family(F: PartitionFamily, b, seed) -> PartitionFamily:
     b = tuple(int(x) for x in b)
     if len(b) != len(F.a) or any(bi % ai for ai, bi in zip(F.a, b)):
         raise InputError(f"shape {b} is not componentwise divisible by {F.a}")
-    k, n = F.k, F.n
     r1 = b[0] // F.a[0]
-    vcs = []
-    for c in F.vertex_classes:
-        ids = sorted(c)
-        base, extra = divmod(len(ids), r1)
-        start = 0
-        for t in range(r1):
-            size = base + (1 if t < extra else 0)
-            vcs.append(frozenset(ids[start:start + size]))
-            start += size
-    vcs = tuple(vcs)
+    vcs = tuple(part for c in F.vertex_classes for part in _equipartition(sorted(c), r1))
 
-    level_classes = {}
-    for j in range(2, k):
-        partial = PartitionFamily(k, n, b, vcs, level_classes)
+    def split_old_class(j, y, pk):
+        # cliques of one new polyad share their crossing status in F:
+        # either all sat in old classes (split those, keeping label
+        # blocks) or none did (fresh sets: slice over all b_j labels;
+        # these classes land in the refinement catch-all).
         rj = b[j - 1] // F.a[j - 1]
-        level_classes[j] = {}
-        for y in address_space(j, j - 1, b):
-            pk = sorted(partial.polyad_cliques(y, j))
-            if not pk:
-                continue
-            # cliques of one new polyad share their crossing status in F:
-            # either all sat in old classes (split those, keeping label
-            # blocks) or none did (fresh sets: slice over all b_j labels;
-            # these classes land in the refinement catch-all).
-            by_old = {}
-            for L in pk:
-                hit = F.containing_class(L)
-                by_old.setdefault(None if hit is None else hit[1], []).append(L)
-            if None in by_old and len(by_old) > 1:
-                raise InputError(
-                    f"polyad at {y.encode()} mixes covered and uncovered sets"
-                )
-            for c, chunk in by_old.items():
-                # shuffled round-robin: uniform marginals, near-equal part
-                # sizes, so no label starves on small chunks
-                rng = substream(seed, "refine", j, y.encode(), c)
-                chunk = list(chunk)
-                rng.shuffle(chunk)
-                parts = b[j - 1] if c is None else rj
-                for pos, L in enumerate(chunk):
-                    t = pos % parts
-                    new_b = t + 1 if c is None else (c - 1) * rj + t + 1
-                    key = (y, new_b)
-                    level_classes[j].setdefault(key, set()).add(L)
-            for (yy, nb), edges in list(level_classes[j].items()):
-                level_classes[j][(yy, nb)] = frozenset(edges)
-    out = PartitionFamily(k, n, b, vcs, level_classes, relaxed=F.relaxed)
+        by_old = {}
+        for L in pk:
+            hit = F.containing_class(L)
+            by_old.setdefault(None if hit is None else hit[1], []).append(L)
+        if None in by_old and len(by_old) > 1:
+            raise InputError(
+                f"polyad at {y.encode()} mixes covered and uncovered sets"
+            )
+        classes = {}
+        for c, chunk in by_old.items():
+            # shuffled round-robin: uniform marginals, near-equal part
+            # sizes, so no label starves on small chunks
+            substream(seed, "refine", j, y.encode(), c).shuffle(chunk)
+            parts, first = (b[j - 1], 1) if c is None else (rj, (c - 1) * rj + 1)
+            for pos, L in enumerate(chunk):
+                classes.setdefault(first + pos % parts, set()).add(L)
+        return classes
+
+    level_classes, starved = _build_levels(F.k, F.n, b, vcs, split_old_class)
     # a chunk smaller than its part count starves a label; possible only at
     # degenerate scales — reported through the relaxed flag, never masked
-    emptied = any(
-        not out.level_classes[j].get((y, bb))
-        for j in range(2, k)
-        for y in out.class_addresses(j)
-        if out.polyad_cliques(y, j)
-        for bb in range(1, b[j - 1] + 1)
+    return PartitionFamily(
+        F.k, F.n, b, vcs, level_classes, relaxed=F.relaxed or starved is not None
     )
-    if emptied:
-        out = PartitionFamily(k, n, b, vcs, level_classes, relaxed=True)
-    return out
 
 
 # ---------------------------------------------------------------------------
 # equalization
 
-def equalize(F: PartitionFamily, H: KGraph = None) -> PartitionFamily:
+def equalize(F: PartitionFamily) -> PartitionFamily:
     """Restore vertex-class sizes to the floor/ceil window, rebuilding the
     level classes against the moved vertices.  Surviving j-sets keep their
     class; j-sets whose address changed fall into the residue label a_j."""
@@ -255,31 +245,20 @@ def equalize(F: PartitionFamily, H: KGraph = None) -> PartitionFamily:
             p += need
     vcs = tuple(frozenset(c) for c in keep)
 
-    level_classes = {}
-    for j in range(2, k):
-        partial = PartitionFamily(k, n, a, vcs, level_classes)
-        level_classes[j] = {}
-        for x in address_space(j, j - 1, a):
-            pk = sorted(partial.polyad_cliques(x, j))
-            if not pk:
-                continue
-            buckets = {bb: set() for bb in range(1, a[j - 1] + 1)}
-            for L in pk:
-                hit = F.containing_class(L)
-                if hit is not None and hit[0] == x:
-                    buckets[hit[1]].add(L)
-                else:
-                    buckets[a[j - 1]].add(L)
-            for bb, edges in buckets.items():
-                level_classes[j][(x, bb)] = frozenset(edges)
-    out = PartitionFamily(k, n, a, vcs, level_classes, relaxed=F.relaxed)
-    for j in range(2, k):
-        for (x, bb), edges in out.level_classes[j].items():
-            if not edges and out.polyad_cliques(x, j):
-                raise ConstructionError(
-                    "equalize", f"class ({x.encode()},{bb}) emptied by the rebuild"
-                )
-    return out
+    def keep_unmoved(j, x, pk):
+        buckets = {bb: set() for bb in range(1, a[j - 1] + 1)}
+        for L in pk:
+            hit = F.containing_class(L)
+            buckets[hit[1] if hit is not None and hit[0] == x else a[j - 1]].add(L)
+        return buckets
+
+    level_classes, starved = _build_levels(k, n, a, vcs, keep_unmoved)
+    if starved is not None:
+        x, bb = starved
+        raise ConstructionError(
+            "equalize", f"class ({x.encode()},{bb}) emptied by the rebuild"
+        )
+    return PartitionFamily(k, n, a, vcs, level_classes, relaxed=F.relaxed)
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def gen_prefix_k3(tmp_path):
 
 
 class TestMalformedInputs:
-    """Each malformed .pf / .ri file is exit 2 with its line number."""
+    """Each malformed .hg / .pf / .ri file is exit 2 with its line number."""
 
     @staticmethod
     def lines(prefix, ext):
@@ -115,9 +115,10 @@ class TestMalformedInputs:
     def assert_rejected(prefix, tmp_path, ext, lines, line_no):
         bad = tmp_path / f"bad.{ext}"
         bad.write_text("\n".join(lines) + "\n")
-        files = {"pf": prefix + ".pf", "ri": prefix + ".ri", ext: str(bad)}
+        files = {e: f"{prefix}.{e}" for e in ("hg", "pf", "ri")}
+        files[ext] = str(bad)
         code, _, err = run([
-            "check", "--hypergraph", prefix + ".hg", "--instance", files["ri"],
+            "check", "--hypergraph", files["hg"], "--instance", files["ri"],
             "--family", files["pf"], "--seed", "23",
         ])
         assert code == 2
@@ -142,6 +143,28 @@ class TestMalformedInputs:
         pf = self.lines(gen_prefix, "pf")
         pf.append("3 1,2 1 : 0,1,2")
         self.assert_rejected(gen_prefix, tmp_path, "pf", pf, len(pf))
+
+    def test_vertex_class_member_out_of_range(self, gen_prefix, tmp_path):
+        pf = self.lines(gen_prefix, "pf")
+        pf[1] += " 120"
+        self.assert_rejected(gen_prefix, tmp_path, "pf", pf, 2)
+
+    def test_vertex_in_two_classes(self, gen_prefix, tmp_path):
+        pf = self.lines(gen_prefix, "pf")
+        pf[2] += " " + pf[1].split()[3]
+        self.assert_rejected(gen_prefix, tmp_path, "pf", pf, 3)
+
+    def test_edge_of_wrong_size(self, gen_prefix, tmp_path):
+        self.assert_rejected(gen_prefix, tmp_path, "hg", ["2 4", "0 1", "0 1 2"], 3)
+
+    def test_edge_out_of_vertex_range(self, gen_prefix, tmp_path):
+        self.assert_rejected(gen_prefix, tmp_path, "hg", ["2 4", "0 9", "0 1"], 2)
+
+    def test_edge_with_repeated_vertex(self, gen_prefix, tmp_path):
+        self.assert_rejected(gen_prefix, tmp_path, "hg", ["2 4", "0 1", "1 1"], 3)
+
+    def test_negative_vertex_count(self, gen_prefix, tmp_path):
+        self.assert_rejected(gen_prefix, tmp_path, "hg", ["2 -1"], 1)
 
     def test_instance_header_without_shape(self, gen_prefix, tmp_path):
         ri = self.lines(gen_prefix, "ri")

@@ -295,6 +295,13 @@ class TestICvsPr:
         with pytest.raises(InputError, match="out of range"):
             count_crossing_induced(P, H, [{0, 1}, {2, 3}, {4, 5}, {9}])
 
+    @pytest.mark.parametrize("P", [KGraph(2, 3), KGraph(2, 4)])
+    def test_overlapping_classes_rejected(self, P):
+        # P on 3 vertices takes the triple-census path, on 4 the generic one
+        H = KGraph(2, 4, {(0, 1), (1, 2)})
+        with pytest.raises(InputError, match="not disjoint"):
+            count_crossing_induced(P, H, [{0, 1}, {1, 2}, {3}, {0}])
+
     def test_report_lines_format(self):
         H, Fw, R = planted((4,), 60, 4)
         tri = KGraph(2, 3, {(0, 1), (0, 2), (1, 2)})

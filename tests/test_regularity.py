@@ -53,6 +53,12 @@ class TestRelativeDensity:
         H = KGraph(2, 4, {(0, 2), (1, 3)})
         assert relative_density(H, below) == Fraction(1, 2)
 
+    def test_k3_over_vertex_classes_rejected(self):
+        # K_3 over three vertex classes is not a pair count; the scan refuses it
+        below = VertexClassGraph((frozenset({0}), frozenset({1}), frozenset({2})))
+        with pytest.raises(InputError, match="scores 2-graphs only"):
+            relative_density(KGraph(3, 3, {(0, 1, 2)}), below)
+
 
 class TestExhaustive:
     def test_full_graph_regular(self):

@@ -98,6 +98,11 @@ class TestInduceFamily:
         # size axioms are waived by the relaxed flag
         assert not any("(v)" in f or "(vii)" in f for f in rep.failures)
 
+    def test_vertex_out_of_range_rejected(self):
+        F = PartitionFamily(2, 4, (2,), [{0, 1}, {2, 3}])
+        with pytest.raises(InputError, match=r"vertex 9 out of range \[0, 4\)"):
+            induce_family(F, [0, 2, 9])
+
 
 class TestEdgeConcentration:
     def test_complete_graph_always_passes(self):
@@ -126,6 +131,10 @@ class TestEdgeConcentration:
         a = check_edge_concentration(H, 30, Fraction(1, 20), 15, 6)
         b = check_edge_concentration(H, 30, Fraction(1, 20), 15, 6)
         assert (a.passes, a.rate, a.bound, a.ok) == (b.passes, b.rate, b.bound, b.ok)
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(InputError, match="trials must be >= 1"):
+            check_edge_concentration(KGraph.complete(2, 10), 5, Fraction(1, 10), 0, 0)
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 from math import comb, factorial
@@ -12,6 +13,8 @@ from hyperreg import (
     RegularityInstance,
     check_family_axioms,
     family_refines,
+    family_to_text,
+    kgraph_to_text,
     sym_diff_distance,
 )
 from hyperreg.addresses import address_space
@@ -276,6 +279,57 @@ class TestEqualize:
         with pytest.raises(ConstructionError) as exc:
             equalize(bad)
         assert exc.value.condition == "equalize"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestBuilderDigests:
+    """Pinned output bytes of plant, refine_family and equalize.  At k = 4
+    the level builder also runs level 3, and both k = 4 refinements starve
+    a label."""
+
+    @pytest.fixture(scope="class")
+    def planted_k4(self):
+        return planted((4, 2, 2), 16, 3)
+
+    def test_plant_k4(self, planted_k4):
+        H, F, _ = planted_k4
+        assert _sha256(kgraph_to_text(H)) == (
+            "61916cbe79c5023af26be41793dbf85bf9b56eab1cfa741df9ec3e2e4bda46aa"
+        )
+        assert _sha256(family_to_text(F)) == (
+            "737039b234c7f08fc10451e60980a4897f1d7df56f8e7a5630a7772dfd55757d"
+        )
+
+    @pytest.mark.parametrize("b, digest", [
+        ((4, 2, 4), "aa0c647d180ec7512eeb39492d2e507db706e490a03f9d849527499b431c8a7f"),
+        ((8, 4, 2), "a336a0399a1f5acfbd69ccc7bd2451cb925136f835ca4c3e412a7f0a3e2f495b"),
+    ])
+    def test_refine_k4_starves_a_label(self, planted_k4, b, digest):
+        G = refine_family(planted_k4[1], b, 3)
+        assert G.relaxed
+        assert _sha256(family_to_text(G)) == digest
+
+    def test_equalize_k4(self, planted_k4):
+        _, F, _ = planted_k4
+        vcs = list(F.vertex_classes)
+        vcs[0], vcs[3] = vcs[0] - {0}, vcs[3] | {0}
+        bad = PartitionFamily(4, 16, F.a, vcs, F.level_classes, relaxed=True)
+        assert _sha256(family_to_text(equalize(bad))) == (
+            "2a3c85939a7b9841f65706bd9309ce4db21035486a8744a6c602a4cedca963c2"
+        )
+
+    @pytest.mark.parametrize("b, relaxed, digest", [
+        ((3, 8), True, "8015e688425bb17ea6caae999a02c1ce41bad9f338b7a5500647352046a8763c"),
+        ((3, 4), False, "fbf58a1f82f8d9186d2b26fbd2af0cdd96104fa1297862ea1aa3d9c6d0c0c631"),
+    ])
+    def test_refine_k3_relaxed_only_when_starved(self, b, relaxed, digest):
+        _, F, _ = planted((3, 2), 9, 1)
+        G = refine_family(F, b, 1)
+        assert G.relaxed is relaxed
+        assert _sha256(family_to_text(G)) == digest
 
 
 class TestReconstruct:
