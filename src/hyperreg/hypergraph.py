@@ -8,11 +8,12 @@ they can be shared freely across concurrent workers.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import lt
+from operator import itemgetter, lt
 
 from .errors import CapabilityError, InputError
 
@@ -28,6 +29,27 @@ def _canon_edge(e) -> Edge:
     return t
 
 
+def _is_canonical(edges, k: int, n: int) -> bool:
+    """Whether every edge is a strictly increasing k-tuple inside [0, n),
+    checked a column at a time."""
+    try:
+        if {*map(type, edges)} != {tuple} or {*map(len, edges)} != {k}:
+            return not edges  # only an empty set passes without tuples
+        # itemgetter columns, not zip(*edges): that would allocate one
+        # GC-tracked iterator per edge and wake the cyclic collector
+        col = list(map(itemgetter(0), edges))
+        if min(col) < 0:
+            return False
+        for i in range(1, k):
+            nxt = list(map(itemgetter(i), edges))
+            if not all(map(lt, col, nxt)):
+                return False
+            col = nxt
+        return max(col) < n
+    except TypeError:  # incomparable vertices: the per-edge loop decides
+        return False
+
+
 @dataclass(frozen=True)
 class KGraph:
     """An immutable k-uniform hypergraph on vertex set [0, n)."""
@@ -41,17 +63,21 @@ class KGraph:
             raise InputError(f"uniformity must be >= 1, got {self.k}")
         if self.n < 0:
             raise InputError(f"vertex count must be >= 0, got {self.n}")
-        # a strictly increasing tuple is already canonical
-        canon = frozenset(
-            e if type(e) is tuple and all(map(lt, e, e[1:])) else _canon_edge(e)
-            for e in self.edges
-        )
-        for e in canon:
-            if len(e) != self.k:
-                raise InputError(f"edge {e} has size {len(e)}, expected {self.k}")
-            if e[0] < 0 or e[-1] >= self.n:
-                raise InputError(f"edge {e} out of vertex range [0, {self.n})")
-        object.__setattr__(self, "edges", canon)
+        edges = self.edges
+        if type(edges) is not frozenset:
+            edges = list(edges)  # a generator is read once
+        if not _is_canonical(edges, self.k, self.n):
+            # a strictly increasing tuple is already canonical
+            edges = frozenset(
+                e if type(e) is tuple and all(map(lt, e, e[1:])) else _canon_edge(e)
+                for e in edges
+            )
+            for e in edges:
+                if len(e) != self.k:
+                    raise InputError(f"edge {e} has size {len(e)}, expected {self.k}")
+                if e[0] < 0 or e[-1] >= self.n:
+                    raise InputError(f"edge {e} out of vertex range [0, {self.n})")
+        object.__setattr__(self, "edges", frozenset(edges))
 
     @classmethod
     def complete(cls, k: int, n: int) -> "KGraph":
@@ -84,6 +110,25 @@ class KGraph:
         return adj
 
 
+def _lex_crossing_sets(classes, j: int):
+    """Yield the crossing j-sets of disjoint vertex classes, each given as an
+    ascending list, as ascending tuples in lexicographic order."""
+    if j == 1:
+        yield from zip(sorted(itertools.chain.from_iterable(classes)))
+        return
+    for u, i in sorted((v, i) for i, c in enumerate(classes) for v in c):
+        others = classes[:i] + classes[i + 1:]
+        tails = [t for c in others if (t := c[bisect_right(c, u):])]  # later vertices
+        if len(tails) < j - 1:
+            continue
+        if j > 2:
+            yield from map((u,).__add__, _lex_crossing_sets(tails, j - 1))
+        elif len(tails) == 1:
+            yield from zip(itertools.repeat(u), tails[0])
+        else:
+            yield from zip(itertools.repeat(u), sorted(itertools.chain.from_iterable(tails)))
+
+
 def crossing_sets(classes, j: int) -> set:
     """All j-sets meeting each vertex class at most once.
 
@@ -99,11 +144,7 @@ def crossing_sets(classes, j: int) -> set:
             if v in seen:
                 raise InputError("vertex classes are not disjoint")
             seen.add(v)
-    out = set()
-    for chosen in itertools.combinations(classes, j):
-        for combo in itertools.product(*chosen):
-            out.add(tuple(sorted(combo)))
-    return out
+    return set(_lex_crossing_sets(classes, j))
 
 
 def cliques_naive(H: KGraph, ell: int) -> set:
@@ -392,32 +433,37 @@ class Complex:
 
 def kgraph_to_text(H: KGraph) -> str:
     lines = [f"{H.k} {H.n}"]
-    for e in sorted(H.edges):
-        lines.append(" ".join(str(v) for v in e))
+    lines.extend(" ".join(map(str, e)) for e in sorted(H.edges))
     return "\n".join(lines) + "\n"
 
 
+def _numbered_lines(text: str) -> list:
+    """(line number, line) for each non-blank line, numbered from 1 by
+    position in the file."""
+    return [(idx, ln) for idx, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+
+
 def kgraph_from_text(text: str) -> KGraph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = _numbered_lines(text)
     if not lines:
         raise InputError("empty hypergraph file")
+    (head_idx, head), *body = lines
     try:
-        k, n = (int(x) for x in lines[0].split())
+        k, n = (int(x) for x in head.split())
         KGraph(k, n)
     except (ValueError, InputError) as exc:
-        raise InputError(f"bad header line 1: {lines[0]!r}") from exc
+        raise InputError(f"bad header line {head_idx}: {head!r}") from exc
     edges = []
-    for idx, ln in enumerate(lines[1:], start=2):
+    for idx, ln in body:
         try:
-            e = tuple(int(x) for x in ln.split())
+            edges.append(tuple(map(int, ln.split())))
         except ValueError as exc:
             raise InputError(f"bad edge at line {idx}: {ln!r}") from exc
-        edges.append(e)
     try:
         return KGraph(k, n, frozenset(edges))
     except InputError:
         # only a failed parse pays for finding the offending line
-        for idx, (ln, e) in enumerate(zip(lines[1:], edges), start=2):
+        for (idx, ln), e in zip(body, edges):
             try:
                 KGraph(k, n, (e,))
             except InputError as exc:

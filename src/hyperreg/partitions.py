@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .addresses import AddressVector, address_space, address_space_size
 from .errors import ConstructionError, InputError
-from .hypergraph import KGraph, cliques, crossing_sets
+from .hypergraph import KGraph, _numbered_lines, cliques, crossing_sets
 
 
 @dataclass(frozen=True)
@@ -465,10 +465,11 @@ def family_to_text(F: PartitionFamily) -> str:
 
 
 def family_from_text(text: str) -> PartitionFamily:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = _numbered_lines(text)
     if not lines:
         raise InputError("empty family file")
-    head = lines[0].split()
+    (head_idx, head_ln), *body = lines
+    head = head_ln.split()
     relaxed = head and head[-1] == "relaxed"
     if relaxed:
         head = head[:-1]
@@ -476,12 +477,12 @@ def family_from_text(text: str) -> PartitionFamily:
         k, n = int(head[0]), int(head[1])
         a = tuple(int(x) for x in head[2:])
     except (ValueError, IndexError) as exc:
-        raise InputError(f"bad header line 1: {lines[0]!r}") from exc
+        raise InputError(f"bad header line {head_idx}: {head_ln!r}") from exc
     if k < 2 or len(a) != k - 1:
-        raise InputError(f"bad header line 1: shape {a} does not match k={k}")
+        raise InputError(f"bad header line {head_idx}: shape {a} does not match k={k}")
     vertex_classes = {}
     level_classes = {j: {} for j in range(2, k)}
-    for idx, ln in enumerate(lines[1:], start=2):
+    for idx, ln in body:
         left, _, right = ln.partition(" : ")
         try:
             toks = left.split()

@@ -14,7 +14,7 @@ from math import comb, factorial
 
 from .addresses import AddressVector, address_space, address_space_size
 from .errors import CapabilityError, InputError
-from .hypergraph import KGraph, cliques
+from .hypergraph import KGraph, _numbered_lines, cliques
 from .partitions import PartitionFamily, VertexClassGraph
 from .rng import substream, threshold
 
@@ -480,19 +480,20 @@ def instance_to_text(R: RegularityInstance) -> str:
 
 
 def instance_from_text(text: str) -> RegularityInstance:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = _numbered_lines(text)
     if not lines:
         raise InputError("empty instance file")
-    head = lines[0].split()
+    (head_idx, head_ln), *body = lines
+    head = head_ln.split()
     try:
         epsilon = Fraction(head[0])
         a = tuple(int(x) for x in head[1:])
     except (ValueError, IndexError, ZeroDivisionError) as exc:
-        raise InputError(f"bad header line 1: {lines[0]!r}") from exc
+        raise InputError(f"bad header line {head_idx}: {head_ln!r}") from exc
     if not a or min(a) < 1:
-        raise InputError(f"bad header line 1: {lines[0]!r} needs a shape a >= 1")
+        raise InputError(f"bad header line {head_idx}: {head_ln!r} needs a shape a >= 1")
     values = {}
-    for idx, ln in enumerate(lines[1:], start=2):
+    for idx, ln in body:
         try:
             enc, val = ln.split()
             x, v = AddressVector.decode(enc), Fraction(val)
@@ -504,7 +505,7 @@ def instance_from_text(text: str) -> RegularityInstance:
     size = address_space_size(len(a) + 1, len(a), a)
     if size != len(values):
         raise InputError(
-            f"bad header line 1: shape {a} has {size} addresses, "
+            f"bad header line {head_idx}: shape {a} has {size} addresses, "
             f"the file gives {len(values)} densities"
         )
     return RegularityInstance(epsilon, a, DensityFunction(a, values))

@@ -17,7 +17,7 @@ from math import comb
 
 from .addresses import address_space
 from .errors import ConstructionError, InputError
-from .hypergraph import KGraph
+from .hypergraph import KGraph, _lex_crossing_sets
 from .partitions import PartitionFamily
 from .regularity import RegularityInstance, check_regular_sampled
 from .rng import substream, threshold
@@ -53,6 +53,15 @@ def _equipartition(ids, parts: int) -> tuple:
     return tuple(out)
 
 
+def _lex_polyad_cliques(F: PartitionFamily, x, ell):
+    """An iterable of the ell-cliques of F's polyad at x in lexicographic
+    order; those of a vertex-class polyad come straight from the
+    crossing-set enumerator, so no set of them is built."""
+    if x.level_max == 1:
+        return _lex_crossing_sets([sorted(c) for c in F.polyad(x).classes], ell)
+    return sorted(F.polyad_cliques(x, ell))
+
+
 def _build_levels(k, n, a, vcs, label):
     """Level classes over the vertex classes vcs, built bottom-up: each
     level-j polyad x with cliques, in address order, gets its classes from
@@ -64,7 +73,7 @@ def _build_levels(k, n, a, vcs, label):
         partial = PartitionFamily(k, n, a, vcs, level_classes)
         level_classes[j] = {}
         for x in address_space(j, j - 1, a):
-            pk = sorted(partial.polyad_cliques(x, j))
+            pk = list(_lex_polyad_cliques(partial, x, j))
             if not pk:
                 continue
             classes = label(j, x, pk)
@@ -99,7 +108,7 @@ def plant(spec: PlantSpec):
     for x in top_addresses:
         t = threshold(R.d(x))
         draw = substream(spec.seed, "edge", x.encode()).random
-        edges.update(L for L in sorted(F.polyad_cliques(x, k)) if draw() < t)
+        edges.update(L for L in _lex_polyad_cliques(F, x, k) if draw() < t)
     H = KGraph(k, n, frozenset(edges))
 
     eps_hat = None

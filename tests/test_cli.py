@@ -171,6 +171,22 @@ class TestMalformedInputs:
         ri[0] = ri[0].split()[0]
         self.assert_rejected(gen_prefix, tmp_path, "ri", ri, 1)
 
+    # blank lines are skipped but still counted
+    def test_edge_line_counts_blank_lines(self, gen_prefix, tmp_path):
+        self.assert_rejected(gen_prefix, tmp_path, "hg", ["2 4", "", "0 9"], 3)
+
+    def test_family_line_counts_blank_lines(self, gen_prefix, tmp_path):
+        pf = self.lines(gen_prefix, "pf")
+        pf.insert(1, "")
+        pf.append(pf[2])
+        self.assert_rejected(gen_prefix, tmp_path, "pf", pf, len(pf))
+
+    def test_instance_line_counts_blank_lines(self, gen_prefix, tmp_path):
+        ri = self.lines(gen_prefix, "ri")
+        ri.insert(1, "")
+        ri.append(ri[2])
+        self.assert_rejected(gen_prefix, tmp_path, "ri", ri, len(ri))
+
 
 class TestCount:
     def test_ic_all_classes_is_one(self, gen_prefix):

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from operator import lt
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from hyperreg import (
 )
 from hyperreg.errors import CapabilityError
 from hyperreg.hypergraph import (
+    _lex_crossing_sets,
     all_iso_classes,
     are_induced_isomorphic,
     automorphism_count,
@@ -66,6 +68,124 @@ class TestCrossingSets:
     def test_crossing_count_formula(self):
         classes = [set(range(0, 3)), set(range(3, 7)), set(range(7, 9))]
         assert len(crossing_sets(classes, 2)) == 3 * 4 + 3 * 2 + 4 * 2
+
+
+@st.composite
+def disjoint_classes(draw):
+    """Up to 5 disjoint vertex classes over sparse ids: interleaved or
+    contiguous, some of them empty or single vertices."""
+    verts = sorted(draw(st.lists(st.integers(0, 40), unique=True, max_size=14)))
+    m = draw(st.integers(1, 5))
+    labels = draw(st.lists(st.integers(0, m - 1), min_size=len(verts), max_size=len(verts)))
+    if draw(st.booleans()):
+        labels.sort()
+    return [{v for v, c in zip(verts, labels) if c == i} for i in range(m)]
+
+
+class TestCrossingOrderOracle:
+    """The lexicographic enumerator against product-and-sort."""
+
+    @staticmethod
+    def reference(classes, j):
+        out = set()
+        for chosen in itertools.combinations([c for c in classes if c], j):
+            out.update(tuple(sorted(combo)) for combo in itertools.product(*chosen))
+        return sorted(out)
+
+    @settings(max_examples=300, deadline=None)
+    @given(disjoint_classes())
+    def test_matches_sorted_product(self, classes):
+        for j in range(1, len(classes) + 2):
+            want = self.reference(classes, j)
+            assert list(_lex_crossing_sets([sorted(c) for c in classes], j)) == want
+            assert crossing_sets(classes, j) == set(want)
+
+
+def _canon_edge_reference(e):
+    t = tuple(sorted(e))
+    if len(set(t)) != len(t):
+        raise InputError(f"edge {e} has repeated vertices")
+    return t
+
+
+def _kgraph_reference(k, n, edges):
+    """The per-edge KGraph check: its edges or its InputError message."""
+    try:
+        canon = frozenset(
+            e if type(e) is tuple and all(map(lt, e, e[1:])) else _canon_edge_reference(e)
+            for e in edges
+        )
+        for e in canon:
+            if len(e) != k:
+                raise InputError(f"edge {e} has size {len(e)}, expected {k}")
+            if e[0] < 0 or e[-1] >= n:
+                raise InputError(f"edge {e} out of vertex range [0, {n})")
+    except InputError as exc:
+        return str(exc)
+    return canon
+
+
+@st.composite
+def kgraph_inputs(draw):
+    """(k, n, raw edges as lists, container form), with up to two faults."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 12))
+    edge = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True).map(sorted)
+    edges = draw(st.lists(edge, max_size=8))
+    faults = ["unsorted", "repeated", "size", "negative", "too_big", "duplicate"]
+    for fault in draw(st.lists(st.sampled_from(faults), max_size=2)):
+        if not edges:
+            break
+        e = edges[draw(st.integers(0, len(edges) - 1))]
+        if not e:  # k = 1 and the size fault already emptied it
+            continue
+        if fault == "unsorted":
+            e.reverse()
+        elif fault == "repeated":
+            e.append(e[0])
+        elif fault == "size" and draw(st.booleans()):
+            e.append(n + 1)
+        elif fault == "size":
+            e.pop()
+        elif fault == "negative":
+            e[0] = -1 - e[0]
+        elif fault == "too_big":
+            e[-1] = n + e[-1]
+        else:
+            edges.append(e[::-1])
+    form = draw(st.sampled_from(["frozenset", "set", "tuple_list", "lists", "generator"]))
+    return k, n, edges, form
+
+
+def _container(edges, form):
+    if form == "frozenset":
+        return frozenset(map(tuple, edges))
+    if form == "set":
+        return set(map(tuple, edges))
+    if form == "tuple_list":
+        return [tuple(e) for e in edges]
+    if form == "lists":
+        return [list(e) for e in edges]
+    return (list(e) for e in edges)
+
+
+class TestKGraphCheckOracle:
+    """The column-wise KGraph check against the per-edge loop."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(kgraph_inputs())
+    def test_matches_per_edge_loop(self, case):
+        k, n, edges, form = case
+        want = _kgraph_reference(k, n, _container(edges, form))
+        given_edges = _container(edges, form)
+        try:
+            got = KGraph(k, n, given_edges).edges
+        except InputError as exc:
+            got = str(exc)
+        assert got == want
+        if form == "frozenset" and want == given_edges:
+            # a canonical frozenset is kept, not rebuilt
+            assert got is given_edges
 
 
 class TestCliquesOracle:
@@ -231,6 +351,10 @@ class TestSerialization:
     def test_bad_header_names_line(self):
         with pytest.raises(InputError, match="line 1"):
             kgraph_from_text("nope nope\n")
+
+    def test_line_numbers_count_blank_lines(self):
+        with pytest.raises(InputError, match="line 2"):
+            kgraph_from_text("\n2 x\n")
 
     def test_bad_edge_names_line(self):
         with pytest.raises(InputError, match="line 3"):

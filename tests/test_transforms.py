@@ -321,6 +321,32 @@ class TestBuilderDigests:
             "2a3c85939a7b9841f65706bd9309ce4db21035486a8744a6c602a4cedca963c2"
         )
 
+    def test_plant_transfer_configuration(self):
+        H, F, _ = planted((3,), 400, 101)
+        assert _sha256(kgraph_to_text(H)) == (
+            "b4cd561e2b64b2a57b12bfcb597938e1a85da004fe6226e19c3eb8b45376fb64"
+        )
+        assert _sha256(family_to_text(F)) == (
+            "3c46d8e4cbe4bdd1f0409b00ccf1ebf4fa271364e93525ddadde2c73fc08b28b"
+        )
+
+    def test_equalize_k3_interleaved_classes(self):
+        # relabel v -> 5v mod 18 so that every vertex class interleaves with
+        # the others, then unbalance the classes by moving one vertex
+        _, F, _ = planted((3, 2), 18, 4)
+        vcs = [frozenset(5 * v % 18 for v in c) for c in F.vertex_classes]
+        level_classes = {
+            j: {key: {tuple(5 * v % 18 for v in e) for e in edges}
+                for key, edges in classes.items()}
+            for j, classes in F.level_classes.items()
+        }
+        moved = min(vcs[0])
+        vcs[0], vcs[2] = vcs[0] - {moved}, vcs[2] | {moved}
+        bad = PartitionFamily(3, 18, F.a, vcs, level_classes, relaxed=True)
+        assert _sha256(family_to_text(equalize(bad))) == (
+            "3454ab3f4d5f21a997de68913af48e86f254f6e6529205d488be3a951c404fbb"
+        )
+
     @pytest.mark.parametrize("b, relaxed, digest", [
         ((3, 8), True, "8015e688425bb17ea6caae999a02c1ce41bad9f338b7a5500647352046a8763c"),
         ((3, 4), False, "fbf58a1f82f8d9186d2b26fbd2af0cdd96104fa1297862ea1aa3d9c6d0c0c631"),
