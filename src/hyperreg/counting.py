@@ -19,6 +19,7 @@ from .addresses import AddressVector, address_space
 from .errors import CapabilityError, InputError
 from .hypergraph import (
     KGraph,
+    _class_index,
     _induced_hits,
     _require_distinct,
     _triple_census,
@@ -128,8 +129,6 @@ def count_sigma_induced(F: KGraph, C, sigma) -> int:
     top = C.layers[k]
     count = 0
     for combo in itertools.product(*classes):
-        if len(set(combo)) != ell:
-            continue
         ok = True
         for j in range(2, k):
             layer = C.layers[j]
@@ -239,12 +238,7 @@ def count_crossing_induced(F: KGraph, H: KGraph, vertex_classes):
     total = sum(map(prod, itertools.combinations([len(c) for c in classes], ell)))
     if total == 0:
         return 0, 0
-    members = list(itertools.chain.from_iterable(classes))
-    for v in members:
-        if not 0 <= v < H.n:
-            raise InputError(f"vertex {v} out of range [0, {H.n})")
-    if len(set(members)) < len(members):
-        raise InputError("vertex classes are not disjoint")
+    _class_index(classes, H.n)
     if H.k == 2 and ell == 3:
         census = _crossing_triple_census(H, classes)
         return census[len(F.edges)], total

@@ -99,15 +99,33 @@ class KGraph:
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
 
-    def adjacency_masks(self) -> list:
-        """For k=2 only: per-vertex neighbour bitmasks (int bitsets)."""
+    def adjacency_masks(self) -> tuple:
+        """For k=2 only: per-vertex neighbour bitmasks (int bitsets), built on
+        the first call and cached outside the fields, so eq, hash and repr
+        ignore them."""
         if self.k != 2:
             raise InputError("adjacency_masks is a 2-graph helper")
-        adj = [0] * self.n
-        for u, v in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return adj
+        if "_adj" not in self.__dict__:
+            adj = [0] * self.n
+            for u, v in self.edges:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            object.__setattr__(self, "_adj", tuple(adj))
+        return self._adj
+
+
+def _class_index(classes, n=None) -> dict:
+    """Map each vertex to the position of its class in the sequence
+    `classes`.  With n given, every vertex of every class must lie in
+    [0, n); that is checked first, and disjointness after it."""
+    if n is not None:
+        for v in itertools.chain.from_iterable(classes):
+            if not 0 <= v < n:
+                raise InputError(f"vertex {v} out of range [0, {n})")
+    index = {v: i for i, c in enumerate(classes) for v in c}
+    if len(index) != sum(map(len, classes)):
+        raise InputError("vertex classes are not disjoint")
+    return index
 
 
 def _lex_crossing_sets(classes, j: int):
@@ -138,12 +156,7 @@ def crossing_sets(classes, j: int) -> set:
     if j < 1:
         raise InputError(f"j must be >= 1, got {j}")
     classes = [sorted(c) for c in classes if c]
-    seen = set()
-    for c in classes:
-        for v in c:
-            if v in seen:
-                raise InputError("vertex classes are not disjoint")
-            seen.add(v)
+    _class_index(classes)
     return set(_lex_crossing_sets(classes, j))
 
 
@@ -185,10 +198,6 @@ def cliques(H: KGraph, ell: int) -> set:
     out = set()
 
     def extend(stack, cand):
-        if len(stack) == ell:
-            out.add(tuple(stack))
-            return
-        # not enough room left to reach ell vertices
         c = cand
         while c:
             v = c & (-c)
@@ -197,7 +206,7 @@ def cliques(H: KGraph, ell: int) -> set:
             new_cand = cand & ~((1 << (u + 1)) - 1)
             if len(stack) + 1 >= k - 1:
                 for T in itertools.combinations(stack, k - 2):
-                    new_cand &= ext.get(tuple(sorted(T + (u,))), 0)
+                    new_cand &= ext.get(T + (u,), 0)  # stack ascends below u
                     if not new_cand:
                         break
             if len(stack) + 1 == ell:
@@ -404,20 +413,14 @@ class Complex:
         return self.layers[j]
 
     def validate(self):
-        cls_of = {}
-        for i, c in enumerate(self.vertex_classes):
-            for v in c:
-                if v in cls_of:
-                    raise InputError("vertex classes overlap")
-                cls_of[v] = i
+        cls_of = _class_index(self.vertex_classes)
         for j in sorted(self.layers):
             Hj = self.layers[j]
             if Hj.k != j:
                 raise InputError(f"layer {j} has uniformity {Hj.k}")
             for e in Hj.edges:
-                if len({cls_of.get(v) for v in e}) != j or None in {
-                    cls_of.get(v) for v in e
-                }:
+                hit = {cls_of.get(v) for v in e}
+                if len(hit) != j or None in hit:
                     raise InputError(f"layer-{j} edge {e} does not cross the partition")
                 if j > 2:
                     below = self.layers[j - 1]

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .addresses import AddressVector, address_space, address_space_size
 from .errors import ConstructionError, InputError
-from .hypergraph import KGraph, _numbered_lines, cliques, crossing_sets
+from .hypergraph import KGraph, _class_index, _numbered_lines, cliques, crossing_sets
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,8 @@ class PartitionFamily:
         self.level_classes = lc
         self.relaxed = bool(relaxed)
 
-        self._cls_of = {}
-        for i, c in enumerate(self.vertex_classes, start=1):
-            for v in c:
-                if v in self._cls_of:
-                    raise InputError("vertex classes overlap")
-                if not 0 <= v < self.n:
-                    raise InputError(f"vertex {v} out of range [0, {self.n})")
-                self._cls_of[v] = i
+        index = _class_index(self.vertex_classes, self.n)
+        self._cls_of = {v: i + 1 for v, i in index.items()}  # 1-based, as addresses
         self._member_index = None
         self._crossing_cache = {}
         self._polyad_clique_cache = {}
@@ -502,6 +496,18 @@ def family_from_text(text: str) -> PartitionFamily:
             raise InputError(f"bad family line {idx}: level {j} outside 1..{k - 1}")
         if j == 1 and not 1 <= key <= a[0]:
             raise InputError(f"bad family line {idx}: class {key} outside 1..{a[0]}")
+        if j > 1:
+            x, b = key
+            # x1 holds j class indices; labels fill levels 2..j-1, each in 1..a_i
+            if x.ell != j or x.x1[-1] > a[0] or x.level_max != j - 1 or any(
+                not 1 <= c <= a[i] for i, row in enumerate(x.labels, start=1) for c in row
+            ):
+                raise InputError(f"bad family line {idx}: {toks[1]} names no level-{j} class")
+            if not 1 <= b <= a[j - 1]:
+                raise InputError(f"bad family line {idx}: label {b} outside 1..{a[j - 1]}")
+            for e in sorted(value):
+                if len(set(e)) != j or min(e) < 0 or max(e) >= n:
+                    raise InputError(f"bad family line {idx}: {e} is no {j}-set of [0, {n})")
         if key in into:
             raise InputError(f"bad family line {idx}: repeats class {left.strip()!r}")
         if j == 1:

@@ -14,7 +14,7 @@ from math import comb, factorial
 
 from .addresses import AddressVector, address_space, address_space_size
 from .errors import CapabilityError, InputError
-from .hypergraph import KGraph, _numbered_lines, cliques
+from .hypergraph import KGraph, _class_index, _numbered_lines, cliques
 from .partitions import PartitionFamily, VertexClassGraph
 from .rng import substream, threshold
 
@@ -62,13 +62,8 @@ def _pair_scorer(Hk: KGraph, classes, ground):
         raise InputError("a vertex-class polyad scores 2-graphs only")
     top = len(ground) - 1
     pos = {v: top - i for i, v in enumerate(ground)}  # vertex -> bit position
-    cls, class_masks = {}, []
-    for i, c in enumerate(classes):
-        for v in c:
-            if v in cls:
-                raise InputError("vertex classes are not disjoint")
-            cls[v] = i
-        class_masks.append(sum(1 << pos[v] for v in c))
+    cls = _class_index(classes)
+    class_masks = [sum(1 << pos[v] for v in c) for c in classes]
     nbrs = [0] * len(ground)
     for u, v in Hk.edges:
         if u in cls and v in cls and cls[u] != cls[v]:

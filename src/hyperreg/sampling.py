@@ -77,9 +77,10 @@ class ConcentrationReport:
         return self.ok
 
 
-def _edges_inside(H: KGraph, adj, qset) -> int:
-    """|H[qset]|; adj is H.adjacency_masks() for k = 2, else None."""
-    if adj is not None:
+def _edges_inside(H: KGraph, qset) -> int:
+    """|H[qset]|."""
+    if H.k == 2:
+        adj = H.adjacency_masks()
         qmask = sum(1 << v for v in qset)
         return sum((adj[v] & qmask).bit_count() for v in qset) // 2
     s = set(qset)
@@ -95,11 +96,10 @@ def check_edge_concentration(H: KGraph, q: int, nu, trials: int, seed) -> Concen
     k, n = H.k, H.n
     expected = Fraction(q, n) ** k * len(H.edges)
     slack = nu * comb(q, k)
-    adj = H.adjacency_masks() if k == 2 else None  # built once, not per sample
     passes = 0
     for t in range(trials):
         Q = sample_vertices(n, q, derive_seed(seed, "conc", t))
-        cnt = _edges_inside(H, adj, Q)
+        cnt = _edges_inside(H, Q)
         if abs(Fraction(cnt) - expected) <= slack:
             passes += 1
     bound = 1 - 2 * math.exp(-float(nu) ** 2 * q / (8 * k * k))

@@ -139,6 +139,24 @@ class TestMalformedInputs:
         pf.append(next(ln for ln in pf if ln.startswith("2 ")))
         self.assert_rejected(gen_prefix_k3, tmp_path, "pf", pf, len(pf))
 
+    # a level-2 line "2 x b : sets" of a=(4,2) on n=24, with one field broken
+    @pytest.mark.parametrize("address, label, first_set", [
+        ("1,2", "7", None),  # label outside 1..a2
+        ("1,9", "1", None),  # class index outside 1..a1
+        ("1,2;1", "1", None),  # a level-2 label on a level-2 class
+        ("1,2", "1", "0,99"),  # vertex outside [0, n)
+        ("1,2", "1", "0,15,23"),  # three vertices at level 2
+        ("1,2", "1", "15,15"),  # a repeated vertex
+    ], ids=["label", "x1-entry", "label-level", "vertex", "size", "repeat"])
+    def test_bad_level_line(self, gen_prefix_k3, tmp_path, address, label, first_set):
+        pf = self.lines(gen_prefix_k3, "pf")
+        i = next(i for i, ln in enumerate(pf) if ln.startswith("2 1,2 1 : "))
+        sets = pf[i].partition(" : ")[2].split()
+        if first_set:
+            sets[0] = first_set
+        pf[i] = f"2 {address} {label} : " + " ".join(sets)
+        self.assert_rejected(gen_prefix_k3, tmp_path, "pf", pf, i + 1)
+
     def test_level_outside_range(self, gen_prefix, tmp_path):
         pf = self.lines(gen_prefix, "pf")
         pf.append("3 1,2 1 : 0,1,2")

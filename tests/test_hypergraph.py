@@ -18,15 +18,20 @@ from hyperreg import (
     kgraph_to_text,
     sym_diff_distance,
 )
+from hyperreg.counting import count_crossing_induced
 from hyperreg.errors import CapabilityError
 from hyperreg.hypergraph import (
+    _class_index,
     _lex_crossing_sets,
     all_iso_classes,
     are_induced_isomorphic,
     automorphism_count,
     canonical_form,
     cliques_naive,
+    count_induced_family,
 )
+from hyperreg.partitions import PartitionFamily, VertexClassGraph
+from hyperreg.regularity import check_regular_exhaustive
 
 from conftest import random_kgraph
 
@@ -51,6 +56,54 @@ class TestKGraph:
     def test_complete_and_empty(self):
         assert len(KGraph.complete(2, 5)) == 10
         assert len(KGraph.empty(3, 5)) == 0
+
+    def test_adjacency_built_once_and_outside_the_fields(self):
+        H = KGraph(2, 4, {(0, 1), (1, 3)})
+        before = (repr(H), hash(H))
+        adj = H.adjacency_masks()
+        assert adj == (0b10, 0b1001, 0, 0b10)
+        assert H.adjacency_masks() is adj
+        assert (repr(H), hash(H)) == before and H == KGraph(2, 4, {(0, 1), (1, 3)})
+
+
+# every validator of vertex classes, as (classes, n) -> result; those that
+# take a vertex count check range too
+PARTITION_CALLERS = {
+    "crossing_sets": lambda cs, n: crossing_sets(cs, 2),
+    "Complex": lambda cs, n: Complex(cs, {}),
+    "_pair_scorer": lambda cs, n: check_regular_exhaustive(
+        KGraph(2, n), VertexClassGraph(cs), Fraction(1, 4), Fraction(1, 2)
+    ),
+    "PartitionFamily": lambda cs, n: PartitionFamily(2, n, (len(cs),), cs),
+    "count_crossing_induced": lambda cs, n: count_crossing_induced(
+        KGraph(2, 3), KGraph(2, n), cs
+    ),
+}
+RANGED = ["PartitionFamily", "count_crossing_induced"]
+
+
+class TestVertexPartitionCheck:
+    def test_index_maps_vertices_to_class_positions(self):
+        assert _class_index([{0, 3}, (), [1]], 4) == {0: 0, 3: 0, 1: 2}
+
+    @pytest.mark.parametrize("caller", PARTITION_CALLERS)
+    def test_overlap(self, caller):
+        classes = [frozenset({0, 1}), frozenset({1, 2}), frozenset({3})]
+        with pytest.raises(InputError, match=r"^vertex classes are not disjoint$"):
+            PARTITION_CALLERS[caller](classes, 6)
+
+    @pytest.mark.parametrize("caller", RANGED)
+    def test_range(self, caller):
+        classes = [frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 9})]
+        with pytest.raises(InputError, match=r"^vertex 9 out of range \[0, 6\)$"):
+            PARTITION_CALLERS[caller](classes, 6)
+
+    @pytest.mark.parametrize("caller", RANGED)
+    def test_range_before_overlap(self, caller):
+        # the overlap comes first in class order, the stray vertex last
+        classes = [frozenset({0, 1}), frozenset({1, 2}), frozenset({9})]
+        with pytest.raises(InputError, match=r"^vertex 9 out of range \[0, 6\)$"):
+            PARTITION_CALLERS[caller](classes, 6)
 
 
 class TestCrossingSets:
@@ -312,6 +365,16 @@ class TestCountInduced:
         H = random_kgraph(2, 10, 0.4, 12)
         total = sum(count_induced(F, H) for F in all_iso_classes(3, 2))
         assert total == 1
+
+    def test_family_over_all_classes_is_one(self):
+        H = random_kgraph(2, 10, 0.4, 12)
+        assert count_induced_family(all_iso_classes(3, 2), H) == 1
+
+    def test_family_with_duplicate_rejected(self):
+        path = KGraph(2, 3, {(0, 1), (1, 2)})
+        same = KGraph(2, 3, {(0, 2), (1, 2)})
+        with pytest.raises(InputError, match="isomorphic duplicates"):
+            count_induced_family([path, same], random_kgraph(2, 6, 0.5, 1))
 
     def test_pattern_cap(self):
         with pytest.raises(CapabilityError):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -22,8 +23,9 @@ from hyperreg import (
     instance_to_text,
     relative_density,
 )
+from hyperreg.addresses import AddressVector, address_space
 from hyperreg.errors import CapabilityError
-from hyperreg.partitions import VertexClassGraph
+from hyperreg.partitions import PartitionFamily, VertexClassGraph
 from hyperreg.regularity import check_perfectly_regular, epsilon_cl
 from hyperreg.rng import substream
 
@@ -307,6 +309,35 @@ class TestEquitableAndWitness:
             F, Fraction(1, 4), Fraction(1, 2), Fraction(0), trials=5, seed=3
         )
         assert rep.ok, rep.failures
+
+    def test_equitable_flags_irregular_complex(self):
+        # V1={0,1}, V2={2,3}, V3={4,5}; on the pair (1,2) each level-2 class
+        # joins one vertex of V1 to all of V2, so every complex is refuted
+        splits = {
+            (1, 2): [{(0, 2), (0, 3)}, {(1, 2), (1, 3)}],
+            (1, 3): [{(0, 4), (1, 5)}, {(0, 5), (1, 4)}],
+            (2, 3): [{(2, 4), (3, 5)}, {(2, 5), (3, 4)}],
+        }
+        level = {(AddressVector(x1), b): cls
+                 for x1, pair in splits.items() for b, cls in enumerate(pair, start=1)}
+        F = PartitionFamily(3, 6, (3, 2), [{0, 1}, {2, 3}, {4, 5}], {2: level})
+        rep = check_equitable_family(F, Fraction(1, 3), Fraction(1, 10), Fraction(0))
+        assert rep.failures == [
+            f"(iii): complex at {x.encode()} not regular"
+            for x in address_space(3, 2, (3, 2))
+        ]
+
+    def test_k3_witness_report_pinned(self):
+        # every line of a k=3 witness report: failures, the worst deviation
+        # and each address's verdict, as computed before any refactor
+        H, F, R = planted((4, 2), 24, 7)
+        rep = check_instance_witness(H, R, F, trials=2, seed=5)
+        lines = [*rep.failures, f"worst_deviation {rep.worst_deviation}"]
+        for x, v in sorted(rep.per_address.items()):
+            w = v.worst_witness and (sorted(v.worst_witness[0]), v.worst_witness[1])
+            lines.append(f"{x.encode()} {v.regular} {v.mode} {v.measured_density} {w}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "9eb83144946e885205a08a0ab153591f6c7c179a14159b53e210fb8d362e622d"
 
 
 class TestComplexRegular:
