@@ -72,14 +72,14 @@ def cmd_gen(args) -> int:
         R = instance_from_text(_read(args.density_file))
         if args.a and tuple(R.a) != _int_vector(args.a):
             raise InputError("--a disagrees with the density file")
-        if args.k and R.k != args.k:
-            raise InputError("--k disagrees with the density file")
     else:
         if not (args.a and args.density):
             raise InputError("need either --density-file or --a with --density")
         a = _int_vector(args.a)
         d = DensityFunction.constant(a, _fraction(args.density))
         R = RegularityInstance(_fraction(args.epsilon), a, d)
+    if args.k and R.k != args.k:
+        raise InputError(f"--k {args.k} disagrees with k={R.k} of the instance")
     H, F, eps_hat = plant(
         PlantSpec(R, args.n, args.seed, measure_epsilon=args.measure)
     )

@@ -190,19 +190,13 @@ class PartitionFamily:
         return self.address_of(L).truncate(j)
 
     def polyad_complex(self, x: AddressVector):
-        """The complex of polyads below x; see the Complex invariants."""
+        """The complex of polyads below x; see the Complex invariants.  Layer
+        i is the level-i polyad of x's truncation: the classes x names on
+        the i-subsets of x1."""
         from .hypergraph import Complex
 
-        j = x.level_max
         classes = tuple(self.vertex_classes[c - 1] for c in x.x1)
-        layers = {}
-        for i in range(2, j + 1):
-            edges = set()
-            for S in itertools.combinations(x.x1, i + 1):
-                y = x.restrict(S, i)
-                g = self.polyad(y)
-                edges |= g.edges
-            layers[i] = KGraph(i, self.n, frozenset(edges))
+        layers = {i: self.polyad(x.truncate(i)) for i in range(2, x.level_max + 1)}
         return Complex(classes, layers)
 
     def class_sizes_balanced(self):
@@ -286,6 +280,23 @@ class AxiomReport:
         return self.failures[0] if self.failures else None
 
 
+def _polyad_faults(F: PartitionFamily, j: int, x: AddressVector, strict: bool):
+    """(builder code, label, axiom message) for each fault of the level-j
+    classes at polyad x: a class leaving x's cliques, an empty class on a
+    nonempty polyad when strict, then cliques no class covers (label None)."""
+    pk = F.polyad_cliques(x, j)
+    covered = set()
+    for b in range(1, F.a[j - 1] + 1):
+        cls = F.level_classes[j].get((x, b), frozenset())
+        if not cls <= pk:
+            yield "FP2", b, f"(vii): class ({x.encode()},{b}) leaves its polyad cliques"
+        covered |= cls
+        if strict and pk and not cls:
+            yield "FP1", b, f"(i): empty class ({x.encode()},{b}) on a nonempty polyad"
+    if covered != pk:
+        yield "FP2", None, f"(vii): classes at {x.encode()} do not cover the polyad cliques"
+
+
 def check_family_axioms(F: PartitionFamily) -> AxiomReport:
     """Verify the defining axioms; returns every violation found."""
     fails = []
@@ -318,25 +329,9 @@ def check_family_axioms(F: PartitionFamily) -> AxiomReport:
         if union != crossing or total != len(crossing):
             fails.append(f"(v): level-{j} classes do not partition the crossing sets")
 
-        # classes sit inside their polyad's clique set; (vii) follows
+        # (i)+(vii): each polyad's classes are nonempty, inside and cover its cliques
         for x in space:
-            pk = F.polyad_cliques(x, j)
-            covered = set()
-            for b in range(1, F.a[j - 1] + 1):
-                cls = F.level_classes[j].get((x, b), frozenset())
-                if not cls <= pk:
-                    fails.append(
-                        f"(vii): class ({x.encode()},{b}) leaves its polyad cliques"
-                    )
-                covered |= cls
-                if strict and pk and not cls:
-                    fails.append(
-                        f"(i): empty class ({x.encode()},{b}) on a nonempty polyad"
-                    )
-            if covered != pk:
-                fails.append(
-                    f"(vii): classes at {x.encode()} do not cover the polyad cliques"
-                )
+            fails.extend(message for _, _, message in _polyad_faults(F, j, x, strict))
 
     # (iv)+(vi): address-based polyads decompose the crossing (j+1)-sets
     for j in range(1, F.k - 1):
@@ -356,13 +351,6 @@ def check_family_axioms(F: PartitionFamily) -> AxiomReport:
                 fails.append(f"(iv): polyad of {L} disagrees with its address")
                 break
 
-    # complexes of addresses are well-formed
-    for j in range(2, F.k - 1 + 1):
-        for x in address_space(j + 1, j, F.a)[:64]:
-            try:
-                F.polyad_complex(x)
-            except InputError as exc:
-                fails.append(f"complex at {x.encode()}: {exc}")
     return AxiomReport(not fails, fails)
 
 
@@ -416,26 +404,12 @@ def build_family(
                     raise ConstructionError(
                         "FP3", f"polyad at {x.encode()} differs from the union identity"
                     )
-            pk = F.polyad_cliques(x, j)
-            groups = [
-                F.level_classes[j].get((x, b), frozenset()) for b in range(1, a[j - 1] + 1)
-            ]
-            if not relaxed and pk:
-                for b, g in enumerate(groups, start=1):
-                    if not g:
-                        raise ConstructionError(
-                            "FP1", f"class ({x.encode()},{b}) is empty"
-                        )
-                if len(set(groups)) != a[j - 1]:
-                    raise ConstructionError(
-                        "FP2", f"classes at {x.encode()} are not {a[j - 1]} distinct parts"
-                    )
-            union = set().union(*groups) if groups else set()
-            if union != pk or sum(len(g) for g in groups) != len(pk):
-                raise ConstructionError(
-                    "FP2",
-                    f"classes at {x.encode()} do not partition the polyad cliques",
-                )
+            for code, _, message in _polyad_faults(F, j, x, not relaxed):
+                raise ConstructionError(code, message)
+            # the classes cover the cliques, so a larger size sum means overlap
+            sizes = sum(len(F.level_classes[j].get((x, b), ())) for b in range(1, a[j - 1] + 1))
+            if sizes != len(F.polyad_cliques(x, j)):
+                raise ConstructionError("FP2", f"classes at {x.encode()} overlap")
     return F
 
 
@@ -476,6 +450,7 @@ def family_from_text(text: str) -> PartitionFamily:
         raise InputError(f"bad header line {head_idx}: shape {a} does not match k={k}")
     vertex_classes = {}
     level_classes = {j: {} for j in range(2, k)}
+    line_of = {}
     for idx, ln in body:
         left, _, right = ln.partition(" : ")
         try:
@@ -517,5 +492,18 @@ def family_from_text(text: str) -> PartitionFamily:
                 if any(v in c for c in vertex_classes.values()):
                     raise InputError(f"bad family line {idx}: vertex {v} is in another class")
         into[key] = value
+        line_of[j, key] = idx
     vertex_classes = [vertex_classes.get(i, frozenset()) for i in range(1, a[0] + 1)]
-    return PartitionFamily(k, n, a, vertex_classes, level_classes, relaxed=relaxed)
+    F = PartitionFamily(k, n, a, vertex_classes, level_classes, relaxed=relaxed)
+    # a set outside its polyad's cliques is a fault of its own line; cliques
+    # that no class covers name no line and are left to check_family_axioms
+    bad = [
+        (line_of[j, (x, b)], message)
+        for j in range(2, k)
+        for x in {x for x, _ in level_classes[j]}
+        for _, b, message in _polyad_faults(F, j, x, strict=False)
+        if b is not None
+    ]
+    if bad:
+        raise InputError("bad family line {}: {}".format(*min(bad)))
+    return F

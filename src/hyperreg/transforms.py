@@ -26,13 +26,15 @@ from .rng import substream, threshold
 # ---------------------------------------------------------------------------
 # planted instances
 
+MEASURE_TRIALS = 20  # sampled trials per top polyad when plant measures epsilon
+
+
 @dataclass(frozen=True)
 class PlantSpec:
     instance: RegularityInstance
     n: int
     seed: int
     measure_epsilon: bool = False
-    trials: int = 20
 
     def __post_init__(self):
         if self.n < self.instance.a[0] * self.instance.k:
@@ -116,7 +118,7 @@ def plant(spec: PlantSpec):
         eps_hat = Fraction(0)
         for x in top_addresses:
             v = check_regular_sampled(
-                H, F.polyad(x), R.epsilon, R.d(x), spec.trials,
+                H, F.polyad(x), R.epsilon, R.d(x), MEASURE_TRIALS,
                 substream(spec.seed, "measure", x.encode()).randrange(2**63),
             )
             if v.worst_witness:

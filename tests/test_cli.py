@@ -157,6 +157,25 @@ class TestMalformedInputs:
         pf[i] = f"2 {address} {label} : " + " ".join(sets)
         self.assert_rejected(gen_prefix_k3, tmp_path, "pf", pf, i + 1)
 
+    # a level-2 set outside its polyad's cliques: 0,1 lies inside V_1, and
+    # 0,18 crosses V_1 and V_4 but is filed under the classes 1,2
+    @pytest.mark.parametrize("first_set", ["0,1", "0,18"], ids=["one-class", "other-polyad"])
+    def test_set_outside_polyad_cliques(self, gen_prefix_k3, tmp_path, first_set):
+        pf = self.lines(gen_prefix_k3, "pf")
+        assert pf[5].startswith("2 1,2 1 : ")
+        head, _, sets = pf[5].partition(" : ")
+        pf[5] = head + " : " + " ".join([first_set] + sets.split()[1:])
+        self.assert_rejected(gen_prefix_k3, tmp_path, "pf", pf, 6)
+
+    def test_gen_k_disagrees_with_shape(self, tmp_path):
+        prefix = str(tmp_path / "k")
+        code, _, err = run([
+            "gen", "--k", "3", "--n", "20", "--a", "4", "--density", "1/2",
+            "--seed", "1", "--out", prefix,
+        ])
+        assert code == 2 and "--k" in err
+        assert not (tmp_path / "k.hg").exists()
+
     def test_level_outside_range(self, gen_prefix, tmp_path):
         pf = self.lines(gen_prefix, "pf")
         pf.append("3 1,2 1 : 0,1,2")
@@ -275,6 +294,26 @@ class TestTransformCommands:
         H = kgraph_from_text(open(out_prefix + ".hg").read())
         F = family_from_text(open(out_prefix + ".pf").read())
         assert H.n == 40 and F.n == 40 and F.relaxed
+
+
+class TestWrittenFamiliesParse:
+    @pytest.mark.parametrize("fixture, b", [("gen_prefix", "6"), ("gen_prefix_k3", "8,2")])
+    def test_every_written_family_parses(self, request, tmp_path, fixture, b):
+        prefix = request.getfixturevalue(fixture)
+        out = str(tmp_path / "w")
+        for argv in (
+            ["refine", "--family", prefix + ".pf", "--b", b, "--seed", "3", "--out", out + ".fine.pf"],
+            ["equalize", "--family", out + ".fine.pf", "--out", out + ".eq.pf"],
+            ["reconstruct", "--family", prefix + ".pf", "--refined", out + ".fine.pf",
+             "--nu", "0", "--out", out + ".rec.pf"],
+            ["sample", "--hypergraph", prefix + ".hg", "--family", prefix + ".pf",
+             "--q", "16", "--seed", "2", "--out", out + ".sub"],
+        ):
+            code, _, err = run(argv)
+            assert code == 0, (argv[0], err)
+        for path in (prefix, out + ".fine", out + ".eq", out + ".rec", out + ".sub"):
+            text = open(path + ".pf").read()
+            assert family_to_text(family_from_text(text)) == text, path
 
 
 class TestExperimentCommand:

@@ -1,4 +1,6 @@
 import itertools
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -293,6 +295,112 @@ class TestBuildFamily:
         assert exc.value.condition == "FP3"
 
 
+def _mutate(F, name, rng, relaxed):
+    """F with one level class edited at a random level."""
+    j = rng.randrange(2, F.k)
+    lc = {i: dict(F.level_classes[i]) for i in range(2, F.k)}
+    level = lc[j]
+    key = rng.choice(sorted(k for k, sets in level.items() if sets))
+    (x, b), sets = key, level[key]
+    L = rng.choice(sorted(sets))
+    sibling = (x, b % F.a[j - 1] + 1)
+    if name == "relabel":
+        level[key], level[sibling] = sets - {L}, level.get(sibling, frozenset()) | {L}
+    elif name == "readdress":
+        y = rng.choice([y for y in F.class_addresses(j) if y != x])
+        target = (y, rng.randint(1, F.a[j - 1]))
+        level[key], level[target] = sets - {L}, level.get(target, frozenset()) | {L}
+    elif name == "non-crossing":
+        V = sorted(F.vertex_classes[rng.randrange(F.a[0])])
+        rest = [v for v in range(F.n) if v not in V]
+        level[key] = sets | {tuple(sorted(rng.sample(V, 2) + rng.sample(rest, j - 2)))}
+    elif name == "drop":
+        level[key] = sets - {L}
+    elif name == "empty":
+        level[key] = frozenset()
+    elif name == "duplicate":
+        level[sibling] = level.get(sibling, frozenset()) | {L}
+    return PartitionFamily(F.k, F.n, F.a, F.vertex_classes, lc, relaxed=relaxed)
+
+
+MUTATIONS = ("relabel", "readdress", "non-crossing", "drop", "empty", "duplicate")
+
+
+@pytest.fixture(scope="module")
+def mutated_corpus():
+    """Small k=3 and k=4 plantings, each with one mutation."""
+    corpus = []
+    for (a, n), seed in itertools.product([((3, 2), 9), ((4, 2), 12), ((4, 2, 2), 16)], range(3)):
+        _, F, _ = planted(a, n, seed)
+        relaxed = not check_family_axioms(F).ok  # small k=4 plantings leave labels empty
+        for name in MUTATIONS:
+            rng = random.Random(f"{a} {seed} {name}")
+            corpus.append((f"{a} seed {seed} {name}", _mutate(F, name, rng, relaxed)))
+    return corpus
+
+
+class TestSharedPolyadCheck:
+    """The axioms, the builder and the complexes agree per polyad."""
+
+    def test_complex_faults_are_vii_faults(self, mutated_corpus):
+        raised = 0
+        for case, G in mutated_corpus:
+            try:
+                for j in range(2, G.k):
+                    for x in G.polyad_addresses(j):
+                        G.polyad_complex(x)
+            except InputError:
+                raised += 1
+                assert any(f.startswith("(vii)") for f in check_family_axioms(G).failures), case
+        assert raised >= 9
+
+    def test_complex_layers_are_unions_of_restricted_polyads(self):
+        for a, n in [((4, 2), 12), ((4, 2, 2), 20)]:
+            _, F, _ = planted(a, n, 1)
+            for j in range(2, F.k):
+                for x in F.polyad_addresses(j)[::7]:
+                    C = F.polyad_complex(x)
+                    for i in range(2, j + 1):
+                        union = set()
+                        for S in itertools.combinations(x.x1, i + 1):
+                            union |= F.polyad(x.restrict(S, i)).edges
+                        assert C.layer(i).edges == union
+
+    def test_builder_raises_on_first_polyad_fault(self, mutated_corpus):
+        """build_family raises exactly when the axioms report an (i)/(vii)
+        polyad line or a polyad's classes overlap, on the first of these in
+        (level, address) order."""
+        raised = overlaps = 0
+        for case, G in mutated_corpus:
+            order = {
+                x.encode(): (j, pos)
+                for j in range(2, G.k) for pos, x in enumerate(G.class_addresses(j))
+            }
+            first = []
+            for i, line in enumerate(check_family_axioms(G).failures):
+                if line.startswith(("(i)", "(vii)")):
+                    m = re.search(r"class \(([\d,;]+),\d+\)|classes at (\S+) do", line)
+                    assert m, (case, line)
+                    first.append((order[m.group(1) or m.group(2)], 0, i, line))
+            for j in range(2, G.k):
+                for x in G.class_addresses(j):
+                    classes = [G.level_classes[j].get((x, b), ()) for b in range(1, G.a[j - 1] + 1)]
+                    if sum(map(len, classes)) != len(set().union(*classes)):
+                        overlaps += 1
+                        first.append((order[x.encode()], 1, 0, f"classes at {x.encode()} overlap"))
+            if not first:
+                assert build_family(G.vertex_classes, G.level_classes, a=G.a, n=G.n,
+                                    relaxed=G.relaxed) == G, case
+                continue
+            raised += 1
+            expected = min(first)[-1]
+            with pytest.raises(ConstructionError) as exc:
+                build_family(G.vertex_classes, G.level_classes, a=G.a, n=G.n, relaxed=G.relaxed)
+            assert exc.value.detail == expected, case
+            assert exc.value.condition == ("FP1" if expected.startswith("(i)") else "FP2"), case
+        assert raised >= 27 and overlaps >= 3 and raised < len(mutated_corpus)
+
+
 class TestSerialization:
     def test_round_trip(self, small_planted_k3):
         _, F, _ = small_planted_k3
@@ -314,3 +422,19 @@ class TestSerialization:
     def test_bad_header(self):
         with pytest.raises(InputError, match="line 1"):
             family_from_text("x y z\n")
+
+    def test_k4_set_under_other_label_vector_rejected(self):
+        _, F, _ = planted((4, 2, 2), 16, 1)
+        lines = family_to_text(F).splitlines()
+        assert family_from_text("\n".join(lines)) == F
+        level3 = [i for i, ln in enumerate(lines) if ln.startswith("3 ")]
+        i = next(i for i in level3 if lines[i].partition(" : ")[2])
+        x = lines[i].split()[1]
+        t = next(t for t in level3 if lines[t].split()[1] != x
+                 and lines[t].split()[1].split(";")[0] == x.split(";")[0])
+        head, _, sets = lines[i].partition(" : ")
+        moved, *kept = sets.split()
+        lines[i] = head + " : " + " ".join(kept)
+        lines[t] = lines[t].rstrip() + " " + moved
+        with pytest.raises(InputError, match=rf"line {t + 1}: \(vii\)"):
+            family_from_text("\n".join(lines) + "\n")
