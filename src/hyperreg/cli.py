@@ -24,6 +24,7 @@ from .hypergraph import (
 )
 from .partitions import family_from_text, family_to_text
 from .regularity import (
+    DEFAULT_EXHAUSTIVE_CAP,
     DensityFunction,
     RegularityInstance,
     check_instance_witness,
@@ -218,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--family", required=True)
     p.add_argument("--trials", type=int, default=40)
-    p.add_argument("--exhaustive-cap", type=int, default=24)
+    p.add_argument("--exhaustive-cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP)
     seeded(p)
     p.set_defaults(func=cmd_check)
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .addresses import AddressVector, address_space, address_space_size
 from .errors import ConstructionError, InputError
-from .hypergraph import KGraph, _class_index, _numbered_lines, cliques, crossing_sets
+from .hypergraph import Complex, KGraph, _class_index, _numbered_lines, cliques, crossing_sets
 
 
 @dataclass(frozen=True)
@@ -193,8 +193,6 @@ class PartitionFamily:
         """The complex of polyads below x; see the Complex invariants.  Layer
         i is the level-i polyad of x's truncation: the classes x names on
         the i-subsets of x1."""
-        from .hypergraph import Complex
-
         classes = tuple(self.vertex_classes[c - 1] for c in x.x1)
         layers = {i: self.polyad(x.truncate(i)) for i in range(2, x.level_max + 1)}
         return Complex(classes, layers)

@@ -18,7 +18,7 @@ from math import comb
 from .addresses import address_space
 from .errors import ConstructionError, InputError
 from .hypergraph import KGraph, _lex_crossing_sets
-from .partitions import PartitionFamily
+from .partitions import PartitionFamily, family_refines
 from .regularity import RegularityInstance, check_regular_sampled
 from .rng import substream, threshold
 
@@ -64,11 +64,12 @@ def _lex_polyad_cliques(F: PartitionFamily, x, ell):
     return sorted(F.polyad_cliques(x, ell))
 
 
-def _build_levels(k, n, a, vcs, label):
-    """Level classes over the vertex classes vcs, built bottom-up: each
-    level-j polyad x with cliques, in address order, gets its classes from
-    label(j, x, sorted cliques) -> {label: sets}.  Also returns the first
-    (x, b) with 1 <= b <= a_j that such a polyad leaves empty, else None."""
+def _build_levels(k, n, a, vcs, label, relaxed=False):
+    """The family over the vertex classes vcs whose level classes are built
+    bottom-up: each level-j polyad x with cliques, in address order, gets
+    its classes from label(j, x, sorted cliques) -> {label: sets}.  Returns
+    (family, starved), where starved is the first (x, b) with 1 <= b <= a_j
+    that such a polyad leaves empty, else None; a starved family is relaxed."""
     level_classes = {}
     starved = None
     for j in range(2, k):
@@ -84,7 +85,8 @@ def _build_levels(k, n, a, vcs, label):
             empty = [b for b in range(1, a[j - 1] + 1) if not classes.get(b)]
             if empty and starved is None:
                 starved = (x, empty[0])
-    return level_classes, starved
+    relaxed = relaxed or starved is not None
+    return PartitionFamily(k, n, a, vcs, level_classes, relaxed=relaxed), starved
 
 
 def plant(spec: PlantSpec):
@@ -102,8 +104,7 @@ def plant(spec: PlantSpec):
             buckets[rng.randrange(a[j - 1]) + 1].add(L)
         return buckets
 
-    level_classes, _ = _build_levels(k, n, a, vcs, uniform_label)
-    F = PartitionFamily(k, n, a, vcs, level_classes)
+    F, _ = _build_levels(k, n, a, vcs, uniform_label)
 
     edges = set()
     top_addresses = address_space(k, k - 1, a)
@@ -129,6 +130,9 @@ def plant(spec: PlantSpec):
 # ---------------------------------------------------------------------------
 # slicing
 
+SLICE_ATTEMPTS = 5  # fresh substreams slice tries before it gives up
+
+
 def _assign_classes(items, probs, rng):
     """Independent assignment to classes 1..s with the given probabilities;
     class 0 collects the remainder."""
@@ -146,11 +150,11 @@ def _assign_classes(items, probs, rng):
 
 
 def slice(Hk: KGraph, Hk1, d, eps, probs, seed, *,
-          recheck=True, trials=40, retry_cap=5):
+          recheck=True, trials=40):
     """Random partition of H^(k) into classes of relative densities p_i·d.
 
     Each class i >= 1 is re-verified (3*eps, p_i*d)-regular by the sampled
-    checker; failures retry with fresh substreams up to retry_cap.
+    checker; failures retry with fresh substreams, SLICE_ATTEMPTS times in all.
     Returns the list [class_0, class_1, ..., class_s].
     """
     probs = [Fraction(p) for p in probs]
@@ -159,7 +163,7 @@ def slice(Hk: KGraph, Hk1, d, eps, probs, seed, *,
     d, eps = Fraction(d), Fraction(eps)
     base = sorted(Hk.edges)
     last_fail = None
-    for attempt in range(retry_cap):
+    for attempt in range(SLICE_ATTEMPTS):
         rng = substream(seed, "slice", attempt)
         buckets = _assign_classes(base, probs, rng)
         classes = [
@@ -181,7 +185,7 @@ def slice(Hk: KGraph, Hk1, d, eps, probs, seed, *,
             return classes
     raise ConstructionError(
         "slicing", f"class {last_fail} failed (3eps, p*d)-regularity "
-        f"after {retry_cap} attempts"
+        f"after {SLICE_ATTEMPTS} attempts"
     )
 
 
@@ -223,12 +227,9 @@ def refine_family(F: PartitionFamily, b, seed) -> PartitionFamily:
                 classes.setdefault(first + pos % parts, set()).add(L)
         return classes
 
-    level_classes, starved = _build_levels(F.k, F.n, b, vcs, split_old_class)
     # a chunk smaller than its part count starves a label; possible only at
     # degenerate scales — reported through the relaxed flag, never masked
-    return PartitionFamily(
-        F.k, F.n, b, vcs, level_classes, relaxed=F.relaxed or starved is not None
-    )
+    return _build_levels(F.k, F.n, b, vcs, split_old_class, F.relaxed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +264,13 @@ def equalize(F: PartitionFamily) -> PartitionFamily:
             buckets[hit[1] if hit is not None and hit[0] == x else a[j - 1]].add(L)
         return buckets
 
-    level_classes, starved = _build_levels(k, n, a, vcs, keep_unmoved)
+    out, starved = _build_levels(k, n, a, vcs, keep_unmoved, F.relaxed)
     if starved is not None:
         x, bb = starved
         raise ConstructionError(
             "equalize", f"class ({x.encode()},{bb}) emptied by the rebuild"
         )
-    return PartitionFamily(k, n, a, vcs, level_classes, relaxed=F.relaxed)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +280,9 @@ def reconstruct(O: PartitionFamily, P: PartitionFamily, nu) -> PartitionFamily:
     """Given P nu-refining O, build O' with P refining O' exactly and every
     class within nu^(1/2)·C(n, j) of its O counterpart.
 
-    Per level, each P-class is routed to the overlap-maximizing O-class;
-    routes pointing at a polyad-incompatible target are corrected to the
-    best label inside the P-class's actual polyad address (lowest label on
-    ties)."""
-    from .partitions import family_refines
-
+    Per polyad x, the cliques of x are grouped by the P-class holding them,
+    and each group takes the O-label b at x with the largest overlap
+    |P-class ∩ O-class(x, b)|, lowest b on ties."""
     nu = Fraction(nu)
     measured = family_refines(P, O)
     if measured["max"] > nu:
@@ -297,33 +295,23 @@ def reconstruct(O: PartitionFamily, P: PartitionFamily, nu) -> PartitionFamily:
         overlaps = [len(c & oc) for oc in O.vertex_classes]
         tgt = max(range(a[0]), key=lambda i: (overlaps[i], -i))
         vcs[tgt] |= c
-    vcs = tuple(frozenset(c) for c in vcs)
 
-    level_classes = {}
-    for j in range(2, k):
-        partial = PartitionFamily(k, n, a, vcs, level_classes)
-        level_classes[j] = {}
-        o_classes = O.level_classes[j]
-        for q_key, q_edges in sorted(P.level_classes[j].items()):
-            if not q_edges:
-                continue
-            rep = min(q_edges)
-            try:
-                x_new = partial.unique_polyad_address(rep, j - 1)
-            except InputError:
-                # the whole class is non-crossing for the coarse shape and
-                # belongs to the refinement catch-all, not to any O' class
-                continue
-            best_b, best_hit = a[j - 1], -1
-            for bb in range(1, a[j - 1] + 1):
-                hit = len(q_edges & o_classes.get((x_new, bb), frozenset()))
-                if hit > best_hit or (hit == best_hit and bb < best_b):
-                    best_b, best_hit = bb, hit
-            key = (x_new, best_b)
-            level_classes[j][key] = level_classes[j].get(key, frozenset()) | q_edges
-    return PartitionFamily(
-        k, n, a, vcs, level_classes, relaxed=O.relaxed or P.relaxed
-    )
+    def best_overlap(j, x, pk):
+        groups = {}
+        for L in pk:
+            hit = P.containing_class(L)
+            if hit is not None:
+                groups.setdefault(hit, []).append(L)
+        classes = {}
+        for hit, group in groups.items():
+            q = P.level_classes[j][hit]
+            b = max(range(1, a[j - 1] + 1), key=lambda bb: (
+                len(q & O.level_classes[j].get((x, bb), frozenset())), -bb
+            ))
+            classes.setdefault(b, set()).update(group)
+        return classes
+
+    return _build_levels(k, n, a, vcs, best_overlap, O.relaxed or P.relaxed)[0]
 
 
 # ---------------------------------------------------------------------------

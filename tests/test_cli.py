@@ -54,6 +54,16 @@ class TestGenCheck:
         assert code == 0
         assert out.startswith("achieved_epsilon ")
 
+    def test_gen_writes_starved_plant_relaxed(self, tmp_path):
+        # at n = 16 seed 0 leaves a level class empty, so the family is relaxed
+        prefix = str(tmp_path / "starved")
+        code, _, err = run([
+            "gen", "--n", "16", "--a", "4,2,2", "--density", "1/2",
+            "--seed", "0", "--out", prefix,
+        ])
+        assert code == 0, err
+        assert open(prefix + ".pf").readline() == "4 16 4 2 2 relaxed\n"
+
     def test_wrong_density_fails_with_exit_1(self, gen_prefix, tmp_path):
         R = instance_from_text(open(gen_prefix + ".ri").read())
         from hyperreg import DensityFunction, RegularityInstance

@@ -64,6 +64,14 @@ class TestPlant:
         _, F, _ = small_planted_k3
         assert check_family_axioms(F).ok
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_strict_plant_passes_its_axioms(self, seed):
+        # at n = 16 the uniform labels starve some level classes (seeds 0,
+        # 1, 2, 5 and 6); such a plant must come back relaxed
+        _, F, _ = planted((4, 2, 2), 16, seed)
+        rep = check_family_axioms(F)
+        assert rep.ok, rep.failures
+
     def test_measured_epsilon_reported(self):
         a = (3,)
         R = RegularityInstance(
@@ -129,7 +137,7 @@ class TestSlice:
         x = F.class_addresses(2)[0]
         with pytest.raises(ConstructionError) as exc:
             slice(H, F.polyad(x), Fraction(1, 100), Fraction(1, 1000),
-                  [Fraction(1, 2)], 0, retry_cap=2)
+                  [Fraction(1, 2)], 0)
         assert exc.value.condition == "slicing"
 
 
@@ -396,6 +404,45 @@ class TestReconstruct:
         rep = check_family_axioms(out)
         if not out.relaxed:
             assert rep.ok, rep.failures
+
+    def test_starved_label_makes_output_relaxed(self):
+        # O and P are strict and pass their axioms, but no P-class at the
+        # polyad of vertex classes 1 and 2 takes label 2
+        _, O, _ = planted((4, 2), 16, 12)
+        P = perturb_family(refine_family(O, (4, 4), 12), Fraction(1, 5), 12)
+        out = reconstruct(O, P, 1)
+        assert out.relaxed and check_family_axioms(out).ok
+        strict = PartitionFamily(
+            out.k, out.n, out.a, out.vertex_classes, out.level_classes
+        )
+        assert check_family_axioms(strict).failures == [
+            "(i): empty class (1,2,2) on a nonempty polyad"
+        ]
+
+    # Pinned output bytes: P is O or its refinement to shape b, perturbed
+    # by nu, and reconstruct runs at P's measured distance from O.
+    @pytest.mark.parametrize("a, n, seed, b, nu, digest", [
+        ((3, 2), 36, 3, (6, 4), 0,
+         "280e52752a7455280c59fd4c7bbac8f51e7354e20e0b40872bce2534dc653275"),
+        ((3, 2), 36, 3, (6, 4), Fraction(1, 20),
+         "bfb199a77cbcc673889419e9ae80195d242755a826edb2038f74eb90c497e567"),
+        ((4, 2), 24, 7, (8, 4), 0,
+         "177fa38242f4ddf4fea4f7211be3ccd99139b04df2dc1dcbb6165071b15c203a"),
+        ((4, 2), 24, 7, (8, 4), Fraction(1, 20),
+         "535ba51d06e8c539a72b4c3c5e9213dd2728048f1cb77b6c4e4de2074a589a67"),
+        ((4, 2, 2), 16, 3, (4, 2, 4), 0,
+         "d1740f3916d2339988308469b5793f1a5d3503a8112ff83d51b2d73020d14dd1"),
+        ((4, 2, 2), 16, 3, None, Fraction(1, 200),
+         "083af07d1b5a84e9862edaa3735830977bc0d960344c6770d38fcf0abb6535b1"),
+    ])
+    def test_digest(self, a, n, seed, b, nu, digest):
+        _, O, _ = planted(a, n, seed)
+        P = perturb_family(refine_family(O, b, seed) if b else O, nu, seed)
+        assert check_family_axioms(P).ok
+        measured = family_refines(P, O)["max"]
+        assert (measured > 0) is (nu > 0)
+        out = reconstruct(O, P, measured)
+        assert _sha256(family_to_text(out)) == digest
 
 
 class TestPerturb:
