@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb, lcm, prod
 
 from .addresses import AddressVector, address_space
 from .errors import CapabilityError, InputError
@@ -85,23 +85,42 @@ def ic_sigma(F: KGraph, d: DensityFunction, x: AddressVector, sigma) -> Fraction
 
 def ic(F: KGraph, d: DensityFunction) -> ICBreakdown:
     """Average of ic_sigma over embeddings (divided by the automorphism
-    count) and over the C(a1, ell) choices of class sets."""
-    ell = F.n
+    count) and over the C(a1, ell) choices of class sets.
+
+    Each density is read as an integer numerator over D, the lcm of d's
+    denominators, so an embedding's weight is an integer product over the
+    common denominator D^C(ell, k); each entry divides once.  ic_sigma is
+    the Fraction oracle it must match."""
+    ell, k = F.n, d.k
     if ell > d.a[0]:
         raise InputError(f"pattern order {ell} exceeds a1={d.a[0]}: no crossing sets")
     aut = cached_automorphism_count(F)
+    D = lcm(*(v.denominator for v in d.values.values()))
+    slots = list(itertools.combinations(range(ell), k))  # positions in x.x1
+    scale = _label_discount(ell, d.a) / D ** len(slots)
+    # per embedding, whether each slot holds a pattern edge; permutations
+    # of positions run in the order of itertools.permutations(x.x1)
+    embeddings = []
+    for perm in itertools.permutations(range(ell)):
+        vertex_at = {p: v for v, p in enumerate(perm)}
+        edge = [tuple(sorted(vertex_at[p] for p in T)) in F.edges for T in slots]
+        embeddings.append((perm, edge))
     per_sigma = {}
     per_address = {}
-    total = Fraction(0)
-    for x in address_space(ell, d.k - 1, d.a):
-        acc = Fraction(0)
-        for sigma in itertools.permutations(x.x1):
-            v = ic_sigma(F, d, x, sigma)
-            per_sigma[(x, sigma)] = v
-            acc += v
-        per_address[x] = acc / aut
-        total += per_address[x]
-    total /= comb(d.a[0], ell)
+    grand = 0
+    for x in address_space(ell, k - 1, d.a):
+        nums = []
+        for y1 in itertools.combinations(x.x1, k):
+            v = d(x.restrict(y1, k - 1))
+            nums.append(v.numerator * (D // v.denominator))
+        acc = 0
+        for perm, edge in embeddings:
+            term = prod(v if hit else D - v for v, hit in zip(nums, edge))
+            per_sigma[(x, tuple(x.x1[p] for p in perm))] = scale * term
+            acc += term
+        per_address[x] = scale * acc / aut
+        grand += acc
+    total = scale * grand / (aut * comb(d.a[0], ell))
     return ICBreakdown(per_sigma, per_address, total, aut)
 
 

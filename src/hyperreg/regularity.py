@@ -84,10 +84,32 @@ def _pair_scorer(Hk: KGraph, classes, ground):
 
 
 def _clique_scorer(Hk: KGraph, Hk1: KGraph, ground):
-    """k >= 3: (|K_k(Q)|, edges of Hk among them) for the sub-graph Q."""
+    """k >= 3: (|K_k(Q)|, edges of Hk among them) for the sub-graph Q.
+
+    K_k(Hk1) is listed once, each clique one bit of an int bitset; inc[b]
+    holds the cliques that contain the sub-edge at bit b.  Q keeps the
+    cliques that contain no sub-edge outside Q."""
+    top = len(ground) - 1
+    pos = {g: top - i for i, g in enumerate(ground)}  # sub-edge -> bit position
+    inc = [0] * len(ground)
+    every = edge_bits = 0
+    for c, kset in enumerate(cliques(Hk1, Hk.k)):
+        bit = 1 << c
+        every |= bit
+        if kset in Hk.edges:
+            edge_bits |= bit
+        for sub in itertools.combinations(kset, Hk1.k):
+            inc[pos[sub]] |= bit
+    full = (1 << len(ground)) - 1
+
     def score(mask):
-        kq = cliques(KGraph(Hk1.k, Hk1.n, frozenset(_members(ground, mask))), Hk.k)
-        return len(kq), sum(1 for e in kq if e in Hk.edges)
+        out, rest = 0, full & ~mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            out |= inc[low.bit_length() - 1]
+        inside = every & ~out
+        return inside.bit_count(), (inside & edge_bits).bit_count()
 
     return score
 

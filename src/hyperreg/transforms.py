@@ -319,8 +319,10 @@ def reconstruct(O: PartitionFamily, P: PartitionFamily, nu) -> PartitionFamily:
 
 def perturb_family(F: PartitionFamily, nu, seed) -> PartitionFamily:
     """Move up to nu·C(n, j) j-sets between classes of the same polyad at
-    each level (vertices between classes when k = 2); axiom (vii) survives
-    by construction."""
+    each level (vertices between classes when k = 2).  For k <= 3 axiom
+    (vii) survives: a moved set stays among its polyad's cliques.  For
+    k >= 4 it can fail, since the level-(j+1) classes above a moved j-set
+    stay where they were and can leave their polyads' cliques."""
     nu = Fraction(nu)
     k, n, a = F.k, F.n, F.a
     emptied = False

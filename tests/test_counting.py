@@ -115,6 +115,33 @@ class TestICBreakdown:
             assert val == acc / aut
         assert br.total == sum(br.per_address.values()) / comb(4, 3)
 
+    # ell = a1 in the first of each k; densities cycle through 0, 1 and
+    # the mixed denominators 3, 7 and 9
+    @pytest.mark.parametrize(
+        "a,ell", [((4,), 4), ((4,), 3), ((4, 2), 4), ((4, 2), 3), ((4, 1, 2), 4)]
+    )
+    def test_integer_sums_match_fraction_oracle(self, a, ell):
+        from hyperreg.addresses import address_space
+        k = len(a) + 1
+        cycle = [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2, 7), Fraction(5, 9)]
+        space = address_space(k, k - 1, a)
+        d = DensityFunction(a, {x: cycle[i % 5] for i, x in enumerate(space)})
+        for F in all_iso_classes(ell, k):
+            br = ic(F, d)
+            assert list(br.per_sigma) == [
+                (x, s) for x in address_space(ell, k - 1, a)
+                for s in itertools.permutations(x.x1)
+            ]
+            for (x, s), v in br.per_sigma.items():
+                assert v == ic_sigma(F, d, x, s), (x, s)
+            sums = dict.fromkeys(br.per_address, Fraction(0))
+            for (x, _), v in br.per_sigma.items():
+                sums[x] += v
+            assert br.per_address == {
+                x: acc / br.automorphism_count for x, acc in sums.items()
+            }
+            assert br.total == sum(br.per_address.values(), Fraction(0)) / comb(a[0], ell)
+
     def test_pattern_too_large_rejected(self):
         d = DensityFunction.constant((3,), Fraction(1, 2))
         with pytest.raises(InputError):

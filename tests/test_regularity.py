@@ -523,3 +523,45 @@ class TestScanOracle:
         H = KGraph(3, 6, {(0, 1, 2), (3, 4, 5)})
         v = check_regular_exhaustive(H, below, Fraction(1, 2), 0)
         assert v.worst_witness == (frozenset({(3, 4), (3, 5), (4, 5)}), 1)
+
+
+def _rescored(Hk, Hk1, ground, mask):
+    """(|K_k(Q)|, edges of Hk in K_k(Q)) with Q re-read from the mask and
+    its cliques re-enumerated; ground[i] sits at bit len(ground) - 1 - i."""
+    top = len(ground) - 1
+    chosen = frozenset(g for i, g in enumerate(ground) if mask >> (top - i) & 1)
+    kq = cliques(KGraph(Hk1.k, Hk1.n, chosen), Hk.k)
+    return len(kq), sum(1 for e in kq if e in Hk.edges)
+
+
+def _scorer_instances():
+    for seed in range(2):
+        H, F, _ = planted((4, 2), 24, seed)
+        for x in F.polyad_addresses(2):
+            yield H, F.polyad(x)
+    for seed in range(4):
+        yield random_kgraph(4, 7, 0.5, seed), random_kgraph(3, 7, 0.6, seed)
+    # a pendant edge (7, 8) lies in no triangle, and every triple is an
+    # edge above, so most edges of Hk lie outside K_3(Hk1)
+    for seed in range(4):
+        below = random_kgraph(2, 9, 0.4, seed)
+        yield KGraph.complete(3, 9), KGraph(2, 9, below.edges | {(7, 8)})
+
+
+class TestCliqueScorer:
+    def test_matches_reenumeration(self):
+        import random
+        from hyperreg.regularity import _clique_scorer
+        rng = random.Random(0)
+        outside = unused = False
+        for Hk, Hk1 in _scorer_instances():
+            ground = sorted(Hk1.edges)
+            kk = cliques(Hk1, Hk.k)
+            outside |= bool(Hk.edges - kk)
+            unused |= any(not any(set(g) <= set(c) for c in kk) for g in ground)
+            score = _clique_scorer(Hk, Hk1, ground)
+            full = (1 << len(ground)) - 1
+            masks = [0, full] + [rng.getrandbits(len(ground)) for _ in range(10)]
+            for mask in masks:
+                assert score(mask) == _rescored(Hk, Hk1, ground, mask), mask
+        assert outside and unused

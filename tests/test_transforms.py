@@ -474,6 +474,15 @@ class TestPerturb:
         )
         assert moved <= int(nu * comb(30, 2))
 
+    @pytest.mark.parametrize("a,n", [((4, 2), 24), ((3, 2), 30)])
+    def test_k3_keeps_axioms(self, a, n):
+        # k = 3 only: at k >= 4 the level-3 classes above a moved set stay put
+        for seed in range(4):
+            _, F, _ = planted(a, n, seed)
+            for nu in (Fraction(1, 20), Fraction(1, 5), Fraction(1, 2)):
+                report = check_family_axioms(perturb_family(F, nu, seed))
+                assert report.failures == [], (seed, nu)
+
     def test_deterministic(self):
         _, F, _ = planted((3, 2), 24, 3)
         assert perturb_family(F, Fraction(1, 10), 6) == perturb_family(
