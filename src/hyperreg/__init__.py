@@ -40,7 +40,6 @@ from .regularity import (
     check_regular_exhaustive,
     check_regular_sampled,
     density_distance,
-    epsilon_ri_bound,
     instance_from_text,
     instance_to_text,
     relative_density,

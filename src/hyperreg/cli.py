@@ -12,7 +12,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .addresses import AddressVector
+from .addresses import AddressVector, address_space
 from .counting import ic, ic_family
 from .errors import CapabilityError, ConstructionError, InputError
 from .hypergraph import (
@@ -109,14 +109,23 @@ def cmd_check(args) -> int:
 
 def cmd_count(args) -> int:
     if args.ic:
+        if not args.instance:
+            raise InputError("count --ic needs --instance")
+        if not (args.pattern or args.all_classes):
+            raise InputError("count --ic needs --pattern or --all-classes")
         R = instance_from_text(_read(args.instance))
         if args.all_classes:
+            if args.all_classes > R.a[0]:
+                raise InputError(f"--all-classes {args.all_classes} exceeds a1={R.a[0]}")
             fam = all_iso_classes(args.all_classes, R.k)
             print(f"ic_family {ic_family(fam, R.d)}")
         else:
             F = kgraph_from_text(_read(args.pattern))
             print(f"ic {ic(F, R.d).total}")
         return 0
+    for flag in ("pattern", "hypergraph"):
+        if not getattr(args, flag):
+            raise InputError(f"count needs --{flag}")
     F = kgraph_from_text(_read(args.pattern))
     H = kgraph_from_text(_read(args.hypergraph))
     print(f"pr {count_induced(F, H)}")
@@ -127,6 +136,8 @@ def cmd_slice(args) -> int:
     H = kgraph_from_text(_read(args.hypergraph))
     F = family_from_text(_read(args.family))
     x = AddressVector.decode(args.address)
+    if x not in address_space(F.k, F.k - 1, F.a):
+        raise InputError(f"address {args.address} names no top-level polyad")
     probs = [_fraction(p) for p in args.probs.split(",")]
     try:
         classes = slice_edges(
@@ -183,8 +194,7 @@ def cmd_experiment(args) -> int:
         R, args.n, args.q, _fraction(args.delta), args.trials, args.seed,
     )
     _write(args.out, stats_to_csv(stats))
-    print(f"q1_rate {stats.q1_rate()} q2_rate {stats.q2_rate()} "
-          f"implied_c {stats.implied_c}")
+    print(f"q1_rate {stats.q1_rate()} q2_rate {stats.q2_rate()}")
     return 0
 
 

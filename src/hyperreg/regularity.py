@@ -348,30 +348,10 @@ def density_distance(d1: DensityFunction, d2: DensityFunction) -> Fraction:
     )
 
 
-def epsilon_cl(gamma, d0, k: int, ell: int) -> Fraction:
-    """Configurable counting-lemma constant: conservative and monotone."""
-    gamma, d0 = Fraction(gamma), Fraction(d0)
-    return gamma * d0 ** (comb(ell, k) * 2**k) / (factorial(ell) * 2 ** (2**ell))
-
-
-def epsilon_ri_bound(t: int, k: int, eps_cl=epsilon_cl) -> Fraction:
-    """Default instance-complexity bound: decreasing in t and k, tending to
-    0, and strictly below t^(-4^k) · eps_cl(1/t, 1/t, k-1, k) / 4."""
-    if t < 1 or k < 2:
-        raise InputError("need t >= 1 and k >= 2")
-    t = Fraction(t)
-    return t ** (-(4**k)) * eps_cl(1 / t, 1 / t, k - 1, k) / 8
-
-
 class RegularityInstance:
-    """A target shape a with per-address densities and a tolerance epsilon.
+    """A target shape a with per-address densities and a tolerance epsilon."""
 
-    The theoretical complexity bound on epsilon collapses below any usable
-    tolerance at desk scale, so it is enforced only on request via
-    enforce_bound / check_epsilon_bound.
-    """
-
-    def __init__(self, epsilon, a, d: DensityFunction, enforce_bound: bool = False):
+    def __init__(self, epsilon, a, d: DensityFunction):
         self.epsilon = Fraction(epsilon)
         self.a = tuple(int(x) for x in a)
         self.k = len(self.a) + 1
@@ -382,14 +362,6 @@ class RegularityInstance:
             raise InputError(f"a1={self.a[0]} below k={self.k}")
         if d.a != self.a:
             raise InputError("density function shape differs from instance shape")
-        if enforce_bound and not self.check_epsilon_bound():
-            raise InputError(
-                f"epsilon {self.epsilon} exceeds the complexity bound "
-                f"{epsilon_ri_bound(max(self.a), self.k)}"
-            )
-
-    def check_epsilon_bound(self) -> bool:
-        return self.epsilon <= epsilon_ri_bound(max(self.a), self.k)
 
     def __eq__(self, other):
         return (
@@ -418,30 +390,6 @@ def _size_window_ok(F: PartitionFamily):
     return all(len(c) in (lo, lo + 1) for c in F.vertex_classes)
 
 
-def _polyad_report(
-    H, F, eps, density, label, failure, fails, trials, seed, exhaustive_cap
-) -> WitnessReport:
-    """check_regular at every top-level polyad x of F, at density(x, polyad)
-    and a seed labelled by label and x; each refuted x adds failure.format
-    (x=..., d=...) to the earlier fails."""
-    per_address = {}
-    worst = Fraction(0)
-    for x in address_space(F.k, F.k - 1, F.a):
-        polyad = F.polyad(x)
-        d = density(x, polyad)
-        v = check_regular(
-            H, polyad, eps, d,
-            trials=trials, seed=substream(seed, label, x.encode()).randrange(2**63),
-            exhaustive_cap=exhaustive_cap,
-        )
-        per_address[x] = v
-        if v.worst_witness:
-            worst = max(worst, v.worst_witness[1])
-        if not v.regular:
-            fails.append(failure.format(x=x.encode(), d=d))
-    return WitnessReport(not fails, fails, worst, per_address)
-
-
 def check_instance_witness(
     H: KGraph, R: RegularityInstance, F: PartitionFamily, *,
     trials=40, seed=0, exhaustive_cap=DEFAULT_EXHAUSTIVE_CAP,
@@ -462,27 +410,20 @@ def check_instance_witness(
             exhaustive_cap=exhaustive_cap,
         )
         fails.extend(f for f in eq.failures if not f.startswith("(ii)"))
-    return _polyad_report(
-        H, F, R.epsilon, lambda x, _: R.d(x), "poly",
-        "regularity: address {x} refuted at d={d}", fails,
-        trials, seed, exhaustive_cap,
-    )
-
-
-def check_perfectly_regular(
-    H: KGraph, F: PartitionFamily, eps, *, trials=40, seed=0,
-    exhaustive_cap=DEFAULT_EXHAUSTIVE_CAP,
-):
-    """Is H (eps, d)-regular with respect to every top-level polyad for SOME
-    density?  Fits d(x) := measured relative density and checks at it;
-    returns (report, fitted DensityFunction)."""
-    report = _polyad_report(
-        H, F, eps, lambda _, polyad: relative_density(H, polyad), "perf",
-        "address {x} not regular at its own density", [],
-        trials, seed, exhaustive_cap,
-    )
-    fitted = {x: v.measured_density for x, v in report.per_address.items()}
-    return report, DensityFunction(F.a, fitted)
+    per_address = {}
+    worst = Fraction(0)
+    for x in address_space(F.k, F.k - 1, F.a):
+        v = check_regular(
+            H, F.polyad(x), R.epsilon, R.d(x),
+            trials=trials, seed=substream(seed, "poly", x.encode()).randrange(2**63),
+            exhaustive_cap=exhaustive_cap,
+        )
+        per_address[x] = v
+        if v.worst_witness:
+            worst = max(worst, v.worst_witness[1])
+        if not v.regular:
+            fails.append(f"regularity: address {x.encode()} refuted at d={R.d(x)}")
+    return WitnessReport(not fails, fails, worst, per_address)
 
 
 # ---------------------------------------------------------------------------

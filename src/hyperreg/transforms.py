@@ -90,9 +90,11 @@ def _build_levels(k, n, a, vcs, label, relaxed=False):
 
 
 def plant(spec: PlantSpec):
-    """Generate (H, F, achieved epsilon-hat) satisfying the instance by
-    construction: uniform class labels per polyad, independent d(x)-biased
-    edges per top-level polyad."""
+    """Generate (H, F, eps_hat) satisfying the instance by construction:
+    uniform class labels per polyad, independent d(x)-biased edges per
+    top-level polyad.  With measure_epsilon, eps_hat is the worst deviation
+    the sampled refuter found over the top-level polyads: a lower bound on
+    the least epsilon at which H is regular, not an achieved epsilon."""
     R = spec.instance
     k, a, n = R.k, R.a, spec.n
     vcs = _equipartition(range(n), a[0])
@@ -193,13 +195,13 @@ def slice(Hk: KGraph, Hk1, d, eps, probs, seed, *,
 # refinement
 
 def refine_family(F: PartitionFamily, b, seed) -> PartitionFamily:
-    """Refine F to the finer shape b (componentwise divisible by F.a):
+    """Refine F to the finer shape b (componentwise a positive multiple of F.a):
     vertex classes split by ascending id; each level class is split into
     equal-probability parts inside each new polyad, keeping label blocks so
     the output refines F exactly."""
     b = tuple(int(x) for x in b)
-    if len(b) != len(F.a) or any(bi % ai for ai, bi in zip(F.a, b)):
-        raise InputError(f"shape {b} is not componentwise divisible by {F.a}")
+    if len(b) != len(F.a) or any(bi < ai or bi % ai for ai, bi in zip(F.a, b)):
+        raise InputError(f"shape {b} is not componentwise a positive multiple of {F.a}")
     r1 = b[0] // F.a[0]
     vcs = tuple(part for c in F.vertex_classes for part in _equipartition(sorted(c), r1))
 

@@ -254,6 +254,26 @@ class TestCount:
         assert code == 0
         assert out.startswith("pr ")
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--hypergraph", "{p}.hg"], "--pattern"),
+        (["--pattern", "{p}.hg"], "--hypergraph"),
+        (["--ic"], "--instance"),
+        (["--ic", "--instance", "{p}.ri"], "--pattern or --all-classes"),
+    ], ids=["no-pattern", "no-hypergraph", "ic-no-instance", "ic-no-pattern"])
+    def test_missing_input_named(self, gen_prefix, argv, flag):
+        code, _, err = run(["count"] + [x.format(p=gen_prefix) for x in argv])
+        assert code == 2
+        assert err.startswith("error: ") and flag in err, err
+
+    def test_all_classes_above_a1_rejected(self, gen_prefix):
+        # a = (3,): nine classes have no crossing sets, and enumerating
+        # every 2-graph on nine vertices would not finish
+        code, _, err = run([
+            "count", "--ic", "--instance", gen_prefix + ".ri", "--all-classes", "9",
+        ])
+        assert code == 2
+        assert err.startswith("error: ") and "exceeds a1=3" in err, err
+
 
 class TestTransformCommands:
     def test_refine_then_reconstruct(self, gen_prefix, tmp_path):
@@ -292,6 +312,28 @@ class TestTransformCommands:
         assert code == 0, err
         for i in range(3):
             kgraph_from_text(open(f"{out_prefix}.{i}.hg").read())
+
+    @pytest.mark.parametrize("fixture, address", [
+        ("gen_prefix", "1,9"),  # no vertex class 9 at a = (3,)
+        ("gen_prefix_k3", "1,2,3;1,1,3"),  # label 3 above a2 = 2
+    ])
+    def test_slice_foreign_address_rejected(self, request, tmp_path, fixture, address):
+        prefix = request.getfixturevalue(fixture)
+        code, _, err = run([
+            "slice", "--hypergraph", prefix + ".hg", "--family", prefix + ".pf",
+            "--address", address, "--d", "1/2", "--epsilon", "1/10",
+            "--probs", "1/2,1/2", "--seed", "9", "--out", str(tmp_path / "sl"),
+        ])
+        assert code == 2
+        assert err.startswith("error: ") and "names no top-level polyad" in err, err
+
+    def test_refine_below_shape_rejected(self, gen_prefix, tmp_path):
+        code, _, err = run([
+            "refine", "--family", gen_prefix + ".pf", "--b", "0",
+            "--seed", "3", "--out", str(tmp_path / "fine.pf"),
+        ])
+        assert code == 2
+        assert err.startswith("error: ") and "positive multiple" in err, err
 
     def test_sample(self, gen_prefix, tmp_path):
         out_prefix = str(tmp_path / "sub")

@@ -18,7 +18,6 @@ from hyperreg import (
     check_regular_sampled,
     cliques,
     density_distance,
-    epsilon_ri_bound,
     instance_from_text,
     instance_to_text,
     relative_density,
@@ -26,7 +25,6 @@ from hyperreg import (
 from hyperreg.addresses import AddressVector, address_space
 from hyperreg.errors import CapabilityError
 from hyperreg.partitions import PartitionFamily, VertexClassGraph
-from hyperreg.regularity import check_perfectly_regular, epsilon_cl
 from hyperreg.rng import substream
 
 from conftest import planted, random_kgraph
@@ -218,38 +216,6 @@ class TestDensityDistance:
         )
 
 
-class TestEpsilonBound:
-    def test_decreasing_in_t(self):
-        for k in (2, 3):
-            vals = [epsilon_ri_bound(t, k) for t in range(1, 40)]
-            assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-    def test_decreasing_in_k(self):
-        for t in (1, 2, 5, 10):
-            assert epsilon_ri_bound(t, 3) <= epsilon_ri_bound(t, 2)
-
-    def test_below_quarter_of_cl(self):
-        for t in (2, 4, 8):
-            for k in (2, 3):
-                cap = Fraction(t) ** (-(4**k)) * epsilon_cl(
-                    Fraction(1, t), Fraction(1, t), k - 1, k
-                ) / 4
-                assert epsilon_ri_bound(t, k) < cap
-
-    def test_regression_constant(self):
-        # the configured closed form at (t, k) = (4, 2)
-        # 4^(-16) * [(1/4)·(1/4)^4 / (2·16)] / 8 = 4^(-25)
-        assert epsilon_ri_bound(4, 2) == Fraction(1, 4**25)
-
-    def test_instance_bound_optional(self):
-        d = DensityFunction.constant((3,), Fraction(1, 2))
-        R = RegularityInstance(Fraction(1, 10), (3,), d)
-        assert not R.check_epsilon_bound()
-        with pytest.raises(InputError):
-            RegularityInstance(Fraction(1, 10), (3,), d, enforce_bound=True)
-        RegularityInstance(epsilon_ri_bound(3, 2), (3,), d, enforce_bound=True)
-
-
 class TestEquitableAndWitness:
     def test_planted_witness_passes(self):
         H, F, R = planted((4,), 120, 3)
@@ -290,13 +256,6 @@ class TestEquitableAndWitness:
         d = DensityFunction.constant((3,), Fraction(1, 2))
         with pytest.raises(InputError):
             check_instance_witness(H, RegularityInstance(Fraction(1, 5), (3,), d), F)
-
-    def test_perfectly_regular_fitted_density(self):
-        H, F, _ = planted((4,), 120, 6)
-        rep, fitted = check_perfectly_regular(H, F, Fraction(1, 5), trials=10, seed=2)
-        assert rep.ok
-        for x, v in fitted.values.items():
-            assert v == relative_density(H, F.polyad(x))
 
     def test_equitable_a1_floor(self):
         _, F, _ = planted((4,), 40, 2)

@@ -110,9 +110,20 @@ class TestEdgeConcentration:
         rep = check_edge_concentration(H, 15, Fraction(1, 10), 20, 0)
         assert rep.passes == 20 and rep.rate == 1
 
+    def test_complete_3graph_centres_on_exact_mean(self):
+        # |H[Q]| = C(q, k) on every sample; (q/n)^k·|E| = 142.5 misses
+        # that 120 by more than the slack C(10, 3)/20 = 6
+        rep = check_edge_concentration(KGraph.complete(3, 20), 10, Fraction(1, 20), 10, 0)
+        assert rep.passes == 10
+
     def test_empty_graph_always_passes(self):
         H = KGraph(3, 20)
         rep = check_edge_concentration(H, 10, Fraction(1, 20), 10, 0)
+        assert rep.rate == 1
+
+    def test_fewer_vertices_than_k(self):
+        # no 3-sets on 2 vertices, so the mean |E|·C(q,3)/C(n,3) is 0
+        rep = check_edge_concentration(KGraph(3, 2), 1, Fraction(1, 20), 10, 0)
         assert rep.rate == 1
 
     def test_random_graph_high_rate(self):
@@ -163,9 +174,6 @@ class TestTransferExperiment:
         for r in stats.records:
             assert r.measured_lambda >= 0
             assert r.worst_deviation >= 0
-
-    def test_implied_c_positive_or_inf(self, stats):
-        assert stats.implied_c > 0
 
     def test_csv_format(self, stats):
         text = stats_to_csv(stats)

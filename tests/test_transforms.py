@@ -217,6 +217,13 @@ class TestRefine:
         with pytest.raises(InputError):
             refine_family(F, (5, 2), 0)
 
+    @pytest.mark.parametrize("b", [(0, 2), (4, 0)])
+    def test_shape_below_a_rejected(self, small_planted_k3, b):
+        # 0 % a == 0, yet 0 is no refinement of a
+        _, F, _ = small_planted_k3
+        with pytest.raises(InputError, match="positive multiple"):
+            refine_family(F, b, 0)
+
     def test_deterministic(self):
         _, F, _ = planted((3, 2), 36, 8)
         assert refine_family(F, (6, 2), 5) == refine_family(F, (6, 2), 5)
