@@ -111,10 +111,12 @@ def cmd_count(args) -> int:
     if args.ic:
         if not args.instance:
             raise InputError("count --ic needs --instance")
-        if not (args.pattern or args.all_classes):
+        if not args.pattern and args.all_classes is None:
             raise InputError("count --ic needs --pattern or --all-classes")
+        if args.all_classes is not None and args.all_classes < 1:
+            raise InputError(f"--all-classes {args.all_classes} must be >= 1")
         R = instance_from_text(_read(args.instance))
-        if args.all_classes:
+        if args.all_classes is not None:
             if args.all_classes > R.a[0]:
                 raise InputError(f"--all-classes {args.all_classes} exceeds a1={R.a[0]}")
             fam = all_iso_classes(args.all_classes, R.k)

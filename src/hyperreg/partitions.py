@@ -161,6 +161,19 @@ class PartitionFamily:
         j = x.level_max
         if x.ell < j + 1:
             raise InputError(f"address {x} does not name a level-{j} polyad")
+        if j > self.k - 1:
+            raise InputError(f"address {x.encode()} has labels above level {self.k - 1}")
+        if x.x1[-1] > self.a[0]:
+            raise InputError(
+                f"address {x.encode()}: class index {x.x1[-1]} exceeds a1={self.a[0]}"
+            )
+        for i, row in enumerate(x.labels, start=2):
+            bad = [b for b in row if not 1 <= b <= self.a[i - 1]]
+            if bad:
+                raise InputError(
+                    f"address {x.encode()}: level-{i} label {bad[0]} outside "
+                    f"[1, a{i}={self.a[i - 1]}]"
+                )
         if j == 1:
             return VertexClassGraph(tuple(self.vertex_classes[c - 1] for c in x.x1))
         edges = set()

@@ -36,13 +36,16 @@ class RegularityVerdict:
 
 def relative_density(Hk: KGraph, Hk1) -> Fraction:
     """|H^(k) ∩ K_k(H^(k-1))| / |K_k(H^(k-1))|, 0 on empty clique sets."""
-    return _scan(Hk, Hk1, _ground(Hk1), 1, 0, (), "density", True).measured_density
+    verdict = _scan(Hk, Hk1, _ground(Hk1), 1, 0, lambda score, walk: (), "density", True)
+    return verdict.measured_density
 
 
 # ---------------------------------------------------------------------------
 # the scan: candidates Q are bitmasks over a sorted ground set, where
-# ground[i] sits at bit len(ground) - 1 - i, so counting up through the
-# integers visits subsets in binary-counting order, last element fastest
+# ground[i] sits at bit len(ground) - 1 - i.  A scorer gives score(mask) for
+# one candidate and walk(), which visits every nonempty mask in reflected
+# Gray-code order (Gray 1953; Knuth, TAOCP 7.2.1.1): step i flips the lowest
+# set bit of i, so each step updates the score by the flipped element alone
 
 def _ground(Hk1) -> list:
     """Vertices of a vertex-class polyad, else the sub-edges of a (k-1)-graph."""
@@ -80,7 +83,25 @@ def _pair_scorer(Hk: KGraph, classes, ground):
             edges += (nbrs[low.bit_length() - 1] & mask).bit_count()
         return pairs // 2, edges // 2
 
-    return score
+    def walk():
+        # flipping vertex v changes the pairs by its partners in other
+        # classes inside the mask, and the edges by its neighbours there
+        full = (1 << len(ground)) - 1
+        flip = {1 << pos[v]: (full & ~class_masks[cls[v]], nbrs[pos[v]]) for v in ground}
+        mask = pairs = edges = 0
+        for i in range(1, 1 << len(ground)):
+            low = i & -i
+            mask ^= low
+            other, adj = flip[low]
+            if mask & low:
+                pairs += (mask & other).bit_count()
+                edges += (mask & adj).bit_count()
+            else:
+                pairs -= (mask & other).bit_count()
+                edges -= (mask & adj).bit_count()
+            yield mask, pairs, edges
+
+    return score, walk
 
 
 def _clique_scorer(Hk: KGraph, Hk1: KGraph, ground):
@@ -88,12 +109,14 @@ def _clique_scorer(Hk: KGraph, Hk1: KGraph, ground):
 
     K_k(Hk1) is listed once, each clique one bit of an int bitset; inc[b]
     holds the cliques that contain the sub-edge at bit b.  Q keeps the
-    cliques that contain no sub-edge outside Q."""
+    cliques that contain no sub-edge outside Q.  The walk counts, for each
+    clique, its sub-edges outside Q; flipping one touches only its cliques."""
     top = len(ground) - 1
     pos = {g: top - i for i, g in enumerate(ground)}  # sub-edge -> bit position
     inc = [0] * len(ground)
+    listed = list(cliques(Hk1, Hk.k))
     every = edge_bits = 0
-    for c, kset in enumerate(cliques(Hk1, Hk.k)):
+    for c, kset in enumerate(listed):
         bit = 1 << c
         every |= bit
         if kset in Hk.edges:
@@ -111,7 +134,32 @@ def _clique_scorer(Hk: KGraph, Hk1: KGraph, ground):
         inside = every & ~out
         return inside.bit_count(), (inside & edge_bits).bit_count()
 
-    return score
+    def walk():
+        flip = {1 << b: [] for b in range(len(ground))}  # the cliques at each bit
+        for c, kset in enumerate(listed):
+            for sub in itertools.combinations(kset, Hk1.k):
+                flip[1 << pos[sub]].append(c)
+        is_edge = [kset in Hk.edges for kset in listed]
+        missing = [Hk.k] * len(listed)  # a k-clique has k sub-edges
+        mask = inside = hits = 0
+        for i in range(1, 1 << len(ground)):
+            low = i & -i
+            mask ^= low
+            if mask & low:
+                for c in flip[low]:
+                    missing[c] -= 1
+                    if not missing[c]:
+                        inside += 1
+                        hits += is_edge[c]
+            else:
+                for c in flip[low]:
+                    if not missing[c]:
+                        inside -= 1
+                        hits -= is_edge[c]
+                    missing[c] += 1
+            yield mask, inside, hits
+
+    return score, walk
 
 
 def _retained(size: int, trials: int, seed: int):
@@ -129,36 +177,45 @@ def _retained(size: int, trials: int, seed: int):
             yield int("0" + "".join("1" if draw() < t else "0" for _ in range(size)), 2)
 
 
-def _scan(Hk, Hk1, ground, eps, d, candidates, mode, certified) -> RegularityVerdict:
-    """Score every candidate over the floor eps*|K_k(Hk1)|; the worst is the
-    first of maximal deviation |hits - d*size| / size.  The full ground set
-    is scored once: it gives K_k(Hk1), the measured density and the floor."""
+def _scan(Hk, Hk1, ground, eps, d, source, mode, certified) -> RegularityVerdict:
+    """Score the candidates (mask, size, hits) that source(score, walk)
+    yields over the floor eps*|K_k(Hk1)|; the worst is of maximal deviation
+    |hits - d*size| / size.  A certified scan visits every mask, so among
+    equal deviations it keeps the smallest mask, in whatever order it
+    visits them; a sampled scan keeps the first it visits.  The full ground
+    set is scored once: it gives K_k(Hk1), the measured density and the
+    floor."""
     eps, d = Fraction(eps), Fraction(d)
     if isinstance(Hk1, VertexClassGraph):
-        score = _pair_scorer(Hk, Hk1.classes, ground)
+        score, walk = _pair_scorer(Hk, Hk1.classes, ground)
     else:
-        score = _clique_scorer(Hk, Hk1, ground)
+        score, walk = _clique_scorer(Hk, Hk1, ground)
     full = (1 << len(ground)) - 1
     full_score = score(full)
     total, total_hits = full_score
     if not total:
         return RegularityVerdict(True, Fraction(0), None, mode, certified)
     dens = Fraction(total_hits, total)
-    floor = eps.numerator * total
-    worst = None  # (deviation numerator, denominator, mask)
-    for mask in candidates:
-        size, hits = full_score if mask == full else score(mask)
-        if not size or size * eps.denominator < floor:
+    floor, eps_den = eps.numerator * total, eps.denominator
+    d_num, d_den = d.numerator, d.denominator
+    worst_num, worst_den, worst_mask = -1, 1, None  # below every deviation
+
+    def scored(mask):
+        return full_score if mask == full else score(mask)
+
+    for mask, size, hits in source(scored, walk):
+        if not size or size * eps_den < floor:
             continue
-        num = abs(hits * d.denominator - d.numerator * size)
-        den = size * d.denominator
-        if worst is None or num * worst[1] > worst[0] * den:
-            worst = (num, den, mask)
-    if worst is None:
+        num = abs(hits * d_den - d_num * size)
+        den = size * d_den
+        ahead, behind = num * worst_den, worst_num * den
+        if ahead > behind or ahead == behind and certified and mask < worst_mask:
+            worst_num, worst_den, worst_mask = num, den, mask
+    if worst_mask is None:
         return RegularityVerdict(True, dens, None, mode, certified)
-    picked = _members(ground, worst[2])
+    picked = _members(ground, worst_mask)
     witness = tuple(picked) if isinstance(Hk1, VertexClassGraph) else frozenset(picked)
-    dev = Fraction(worst[0], worst[1])
+    dev = Fraction(worst_num, worst_den)
     return RegularityVerdict(dev <= eps, dens, (witness, dev), mode, certified)
 
 
@@ -177,8 +234,7 @@ def check_regular_exhaustive(
             f"{len(ground)} {what} exceed the exhaustive cap {exhaustive_cap}; "
             "use check_regular_sampled"
         )
-    candidates = range(1 << len(ground))
-    return _scan(Hk, Hk1, ground, eps, d, candidates, "exhaustive", True)
+    return _scan(Hk, Hk1, ground, eps, d, lambda score, walk: walk(), "exhaustive", True)
 
 
 def check_regular_sampled(
@@ -190,8 +246,11 @@ def check_regular_sampled(
     if trials < 1:
         raise InputError("trials must be >= 1")
     ground = _ground(Hk1)
-    candidates = _retained(len(ground), trials, seed)
-    return _scan(Hk, Hk1, ground, eps, d, candidates, f"sampled({trials},{seed})", False)
+    masks = _retained(len(ground), trials, seed)
+    return _scan(
+        Hk, Hk1, ground, eps, d, lambda score, walk: ((m, *score(m)) for m in masks),
+        f"sampled({trials},{seed})", False,
+    )
 
 
 def check_regular(Hk, Hk1, eps, d, *, trials=40, seed=0, exhaustive_cap=DEFAULT_EXHAUSTIVE_CAP):

@@ -147,6 +147,15 @@ def run_transfer_experiment(
     instance at epsilon0 + delta; (Q2) check a fresh planting at sample
     scale against an independent full-scale planting of the same densities."""
     delta = Fraction(delta)
+    if trials < 1:
+        raise InputError(f"trials {trials} must be >= 1")
+    if delta < 0:
+        raise InputError(f"delta {delta} must be >= 0")
+    lo = R.a[0] * R.k
+    if n < lo:
+        raise InputError(f"n={n} below a1*k={lo}")
+    if not lo <= q <= n:
+        raise InputError(f"q={q} outside [a1*k={lo}, n={n}]")
     relaxed_R = RegularityInstance(min(R.epsilon + delta, Fraction(1)), R.a, R.d)
     q1 = q2 = 0
     records = []

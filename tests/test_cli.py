@@ -1,6 +1,7 @@
 import io
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -62,10 +63,10 @@ class TestGenCheck:
             "--seed", "0", "--out", prefix,
         ])
         assert code == 0, err
-        assert open(prefix + ".pf").readline() == "4 16 4 2 2 relaxed\n"
+        assert Path(prefix + ".pf").read_text().startswith("4 16 4 2 2 relaxed\n")
 
     def test_wrong_density_fails_with_exit_1(self, gen_prefix, tmp_path):
-        R = instance_from_text(open(gen_prefix + ".ri").read())
+        R = instance_from_text(Path(gen_prefix + ".ri").read_text())
         from hyperreg import DensityFunction, RegularityInstance
         wrong = RegularityInstance(
             R.epsilon, R.a, DensityFunction.constant(R.a, 1)
@@ -81,7 +82,7 @@ class TestGenCheck:
         assert "witness fail" in out
 
     def test_corrupted_family_exit_2_with_line(self, gen_prefix, tmp_path):
-        text = open(gen_prefix + ".pf").read().split("\n")
+        text = Path(gen_prefix + ".pf").read_text().split("\n")
         text[1] = "1 zzz : 0 1"
         bad = tmp_path / "bad.pf"
         bad.write_text("\n".join(text))
@@ -119,7 +120,7 @@ class TestMalformedInputs:
 
     @staticmethod
     def lines(prefix, ext):
-        return open(f"{prefix}.{ext}").read().splitlines()
+        return Path(f"{prefix}.{ext}").read_text().splitlines()
 
     @staticmethod
     def assert_rejected(prefix, tmp_path, ext, lines, line_no):
@@ -274,6 +275,14 @@ class TestCount:
         assert code == 2
         assert err.startswith("error: ") and "exceeds a1=3" in err, err
 
+    @pytest.mark.parametrize("ell", ["0", "-1"])
+    def test_all_classes_below_one_rejected(self, gen_prefix, ell):
+        code, _, err = run([
+            "count", "--ic", "--instance", gen_prefix + ".ri", "--all-classes", ell,
+        ])
+        assert code == 2
+        assert err == f"error: --all-classes {ell} must be >= 1\n", err
+
 
 class TestTransformCommands:
     def test_refine_then_reconstruct(self, gen_prefix, tmp_path):
@@ -289,7 +298,7 @@ class TestTransformCommands:
             "--refined", fine, "--nu", "0", "--out", rec,
         ])
         assert code == 0, err
-        assert family_from_text(open(rec).read()).a == (3,)
+        assert family_from_text(Path(rec).read_text()).a == (3,)
 
     def test_equalize(self, gen_prefix, tmp_path):
         out_path = str(tmp_path / "eq.pf")
@@ -297,7 +306,7 @@ class TestTransformCommands:
             "equalize", "--family", gen_prefix + ".pf", "--out", out_path,
         ])
         assert code == 0
-        F = family_from_text(open(out_path).read())
+        F = family_from_text(Path(out_path).read_text())
         sizes = [len(c) for c in F.vertex_classes]
         assert max(sizes) - min(sizes) <= 1
 
@@ -311,7 +320,7 @@ class TestTransformCommands:
         ])
         assert code == 0, err
         for i in range(3):
-            kgraph_from_text(open(f"{out_prefix}.{i}.hg").read())
+            kgraph_from_text(Path(f"{out_prefix}.{i}.hg").read_text())
 
     @pytest.mark.parametrize("fixture, address", [
         ("gen_prefix", "1,9"),  # no vertex class 9 at a = (3,)
@@ -343,8 +352,8 @@ class TestTransformCommands:
             "--seed", "2", "--out", out_prefix,
         ])
         assert code == 0, err
-        H = kgraph_from_text(open(out_prefix + ".hg").read())
-        F = family_from_text(open(out_prefix + ".pf").read())
+        H = kgraph_from_text(Path(out_prefix + ".hg").read_text())
+        F = family_from_text(Path(out_prefix + ".pf").read_text())
         assert H.n == 40 and F.n == 40 and F.relaxed
 
 
@@ -364,7 +373,7 @@ class TestWrittenFamiliesParse:
             code, _, err = run(argv)
             assert code == 0, (argv[0], err)
         for path in (prefix, out + ".fine", out + ".eq", out + ".rec", out + ".sub"):
-            text = open(path + ".pf").read()
+            text = Path(path + ".pf").read_text()
             assert family_to_text(family_from_text(text)) == text, path
 
 
@@ -378,9 +387,27 @@ class TestExperimentCommand:
         ])
         assert code == 0, err
         assert out.startswith("q1_rate ")
-        lines = open(csv).read().strip().split("\n")
+        lines = Path(csv).read_text().strip().split("\n")
         assert lines[0] == "trial,direction,pass,lambda,worst_deviation"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--q", "0", "q=0 outside [a1*k=6, n=120]"),
+        ("--q", "121", "q=121 outside [a1*k=6, n=120]"),
+        ("--delta", "-1", "delta -1 must be >= 0"),
+        ("--trials", "0", "trials 0 must be >= 1"),
+    ], ids=["q-low", "q-high", "delta", "trials"])
+    def test_bad_arguments_exit_2(self, gen_prefix, tmp_path, flag, value, message):
+        argv = {"--n": "120", "--q": "60", "--delta": "3/10", "--trials": "2"}
+        argv[flag] = value
+        csv = tmp_path / "stats.csv"
+        code, out, err = run(
+            ["experiment", "--instance", gen_prefix + ".ri", "--seed", "31",
+             "--out", str(csv)] + [x for kv in argv.items() for x in kv]
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n", err
+        assert not csv.exists()
 
 
 class TestSeedDiscipline:
@@ -398,14 +425,14 @@ class TestSeedDiscipline:
             run(["gen", "--n", "40", "--a", "4", "--density", "2/5",
                  "--seed", "77", "--out", prefix])
         for ext in (".hg", ".pf", ".ri"):
-            assert open(a + ext).read() == open(b + ext).read()
+            assert Path(a + ext).read_text() == Path(b + ext).read_text()
 
 
 class TestSerializationIdentity:
     def test_parse_serialize_fixed_point(self, gen_prefix):
-        hg = open(gen_prefix + ".hg").read()
-        pf = open(gen_prefix + ".pf").read()
-        ri = open(gen_prefix + ".ri").read()
+        hg = Path(gen_prefix + ".hg").read_text()
+        pf = Path(gen_prefix + ".pf").read_text()
+        ri = Path(gen_prefix + ".ri").read_text()
         assert kgraph_to_text(kgraph_from_text(hg)) == hg
         assert family_to_text(family_from_text(pf)) == pf
         assert instance_to_text(instance_from_text(ri)) == ri

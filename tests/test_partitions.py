@@ -112,6 +112,17 @@ class TestPolyad:
             union |= F.polyad(x.restrict(S, 2)).edges
         assert direct == union
 
+    def test_class_index_above_a1_rejected(self, small_planted_k2):
+        _, F, _ = small_planted_k2
+        with pytest.raises(InputError, match=r"^address 1,9: class index 9 exceeds a1=4$"):
+            F.polyad(AddressVector.decode("1,9"))
+
+    def test_label_above_aj_rejected(self, small_planted_k3):
+        # label 3 above a2 = 2 once returned a partial 39-edge polyad
+        _, F, _ = small_planted_k3
+        with pytest.raises(InputError, match=r"^address 1,2,3;1,1,3: level-2 label 3 outside \[1, a2=2\]$"):
+            F.polyad(AddressVector.decode("1,2,3;1,1,3"))
+
 
 class TestUniquePolyadAddress:
     def test_consistency_with_address_of(self, small_planted_k3):

@@ -25,6 +25,7 @@ from hyperreg import (
 from hyperreg.addresses import AddressVector, address_space
 from hyperreg.errors import CapabilityError
 from hyperreg.partitions import PartitionFamily, VertexClassGraph
+from hyperreg.regularity import RegularityVerdict
 from hyperreg.rng import substream
 
 from conftest import planted, random_kgraph
@@ -477,7 +478,8 @@ class TestScanOracle:
 
     def test_first_maximal_candidate_wins_ties(self):
         # two disjoint triangles below, both edges above: every nonempty
-        # candidate deviates by 1 at d = 0, so the first in counting order wins
+        # candidate deviates by 1 at d = 0, so the smallest mask wins, the
+        # first in counting order
         below = KGraph(2, 6, {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)})
         H = KGraph(3, 6, {(0, 1, 2), (3, 4, 5)})
         v = check_regular_exhaustive(H, below, Fraction(1, 2), 0)
@@ -518,9 +520,84 @@ class TestCliqueScorer:
             kk = cliques(Hk1, Hk.k)
             outside |= bool(Hk.edges - kk)
             unused |= any(not any(set(g) <= set(c) for c in kk) for g in ground)
-            score = _clique_scorer(Hk, Hk1, ground)
+            score, _ = _clique_scorer(Hk, Hk1, ground)
             full = (1 << len(ground)) - 1
             masks = [0, full] + [rng.getrandbits(len(ground)) for _ in range(10)]
             for mask in masks:
                 assert score(mask) == _rescored(Hk, Hk1, ground, mask), mask
         assert outside and unused
+
+
+# ---------------------------------------------------------------------------
+# the Gray walk against binary counting: _scan fed every mask in counting
+# order, each scored from scratch, where the first mask of maximal deviation
+# is also the smallest
+
+def _tie_rich_pairs():
+    """k = 2 on 10-16 vertices in two or three classes; empty, complete and
+    random graphs, with edges inside classes too."""
+    import random
+    rng = random.Random(11)
+    for n, parts in ((10, 2), (11, 3), (13, 2), (14, 3), (16, 2)):
+        verts = list(range(n))
+        rng.shuffle(verts)
+        cuts = [0, *sorted(rng.sample(range(1, n), parts - 1)), n]
+        below = VertexClassGraph(tuple(
+            frozenset(verts[lo:hi]) for lo, hi in zip(cuts, cuts[1:])
+        ))
+        for p in (0, Fraction(1, 2), 1):
+            yield KGraph(2, n, frozenset(
+                e for e in itertools.combinations(range(n), 2) if rng.random() < p
+            )), below
+
+
+def _tie_rich_triples():
+    """k = 3 over at most 14 sub-edges; the pendant sub-edge (6, 7) lies in
+    no triangle, and the complete and random 3-graphs have edges outside
+    K_3(Hk1)."""
+    import random
+    rng = random.Random(12)
+    pairs = list(itertools.combinations(range(7), 2))
+    for size in (9, 11, 13):
+        below = KGraph(2, 8, frozenset(rng.sample(pairs, size)) | {(6, 7)})
+        for p in (0, Fraction(1, 2), 1):
+            yield KGraph(3, 8, frozenset(
+                t for t in itertools.combinations(range(8), 3) if rng.random() < p
+            )), below
+
+
+class TestGrayWalk:
+    @pytest.mark.parametrize("make", [_tie_rich_pairs, _tie_rich_triples])
+    def test_matches_binary_counting(self, make):
+        from hyperreg.regularity import _clique_scorer, _ground, _pair_scorer, _scan
+        eps_cycle = itertools.cycle((Fraction(1, 20), Fraction(1, 8), Fraction(1, 3)))
+        outside = unused = False
+        for H, below in make():
+            ground = _ground(below)
+            if isinstance(below, VertexClassGraph):
+                score, walk = _pair_scorer(H, below.classes, ground)
+            else:
+                assert len(ground) <= 14
+                score, walk = _clique_scorer(H, below, ground)
+                kk = cliques(below, 3)
+                outside |= bool(H.edges - kk)
+                unused |= any(not any(set(g) <= set(c) for c in kk) for g in ground)
+            binary = [(m, *score(m)) for m in range(1 << len(ground))]
+            visited = set()
+            for mask, size, hits in walk():
+                assert binary[mask] == (mask, size, hits)
+                visited.add(mask)
+            assert len(visited) == len(binary) - 1 and 0 not in visited
+            for d in (0, Fraction(1, 2), 1):
+                eps = next(eps_cycle)
+                want = _scan(H, below, ground, eps, d, lambda s, w: binary, "exhaustive", True)
+                assert check_regular_exhaustive(H, below, eps, d) == want, (len(ground), d, eps)
+        assert isinstance(below, VertexClassGraph) or (outside and unused)
+
+    def test_smallest_mask_over_the_floor_wins(self):
+        # empty 2-graph on 4 + 4 vertices at d = 0: every candidate deviates
+        # by 0, and eps = 1/8 asks for 2 of the 16 crossing pairs.  The
+        # smallest such mask is {3, 6, 7}; the walk visits {3, 4, 7} first
+        below = VertexClassGraph((frozenset(range(4)), frozenset(range(4, 8))))
+        v = check_regular_exhaustive(KGraph(2, 8), below, Fraction(1, 8), 0)
+        assert v == RegularityVerdict(True, 0, ((3, 6, 7), 0), "exhaustive", True)

@@ -196,3 +196,18 @@ class TestTransferExperiment:
         s2 = run_transfer_experiment(R, 120, 60, Fraction(3, 10), 2, 7,
                                      check_trials=6)
         assert stats_to_csv(s1) == stats_to_csv(s2)
+
+    @pytest.mark.parametrize("n, q, delta, trials, message", [
+        (120, 0, Fraction(3, 10), 2, r"^q=0 outside \[a1\*k=6, n=120\]$"),
+        (120, 121, Fraction(3, 10), 2, r"^q=121 outside \[a1\*k=6, n=120\]$"),
+        (4, 4, Fraction(3, 10), 2, r"^n=4 below a1\*k=6$"),
+        (120, 60, Fraction(-1), 2, r"^delta -1 must be >= 0$"),
+        (120, 60, Fraction(3, 10), 0, r"^trials 0 must be >= 1$"),
+    ], ids=["q-low", "q-high", "n-low", "delta", "trials"])
+    def test_arguments_checked_up_front(self, n, q, delta, trials, message):
+        a = (3,)
+        R = RegularityInstance(
+            Fraction(1, 10), a, DensityFunction.constant(a, Fraction(1, 2))
+        )
+        with pytest.raises(InputError, match=message):
+            run_transfer_experiment(R, n, q, delta, trials, 7)
