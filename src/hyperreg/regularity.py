@@ -45,7 +45,8 @@ def relative_density(Hk: KGraph, Hk1) -> Fraction:
 # ground[i] sits at bit len(ground) - 1 - i.  A scorer gives score(mask) for
 # one candidate and walk(), which visits every nonempty mask in reflected
 # Gray-code order (Gray 1953; Knuth, TAOCP 7.2.1.1): step i flips the lowest
-# set bit of i, so each step updates the score by the flipped element alone
+# set bit of i, so each step updates the score by the flipped element alone.
+# The exhaustive scan of a two-class polyad enumerates only the smaller class
 
 def _ground(Hk1) -> list:
     """Vertices of a vertex-class polyad, else the sub-edges of a (k-1)-graph."""
@@ -59,8 +60,9 @@ def _members(ground, mask) -> list:
     return [g for i, g in enumerate(ground) if mask >> (top - i) & 1]
 
 
-def _pair_scorer(Hk: KGraph, classes, ground):
-    """k = 2: (crossing pairs, edges) inside a vertex mask."""
+def _pair_scorer(Hk: KGraph, classes, ground, every=True):
+    """k = 2: (crossing pairs, edges) inside a vertex mask.  Unless every
+    is set, the walk of a two-class polyad is the smaller-class source."""
     if Hk.k != 2:
         raise InputError("a vertex-class polyad scores 2-graphs only")
     top = len(ground) - 1
@@ -101,7 +103,30 @@ def _pair_scorer(Hk: KGraph, classes, ground):
                 edges -= (mask & adj).bit_count()
             yield mask, pairs, edges
 
-    return score, walk
+    def extremes():
+        # each nonempty S of the smaller class, and for each t the T of t
+        # vertices of the other class with the most and with the fewest
+        # neighbours in S.  With S and t fixed the size |S|·t and the floor
+        # are fixed, and |hits - d·size| is largest at an end of the range
+        # of degree sums, so some top-t or bottom-t sum reaches the walk's
+        # worst deviation.  The stable sorts keep degree ties in ascending
+        # bits, so each prefix is the smallest mask with its sum: the
+        # smallest worst mask is among these, and _scan keeps it as before
+        small, large = sorted(class_masks, key=int.bit_count)
+        others = [(1 << b, nbrs[b]) for b in range(len(ground)) if large >> b & 1]
+        S = small
+        while S:
+            size = S.bit_count()
+            degrees = [((S & adj).bit_count(), bit) for bit, adj in others]
+            for order in (sorted(degrees, key=lambda e: -e[0]), sorted(degrees)):
+                mask, hits = S, 0
+                for t, (deg, bit) in enumerate(order, 1):
+                    mask |= bit
+                    hits += deg
+                    yield mask, size * t, hits
+            S = (S - 1) & small
+
+    return score, walk if every or len(classes) != 2 else extremes
 
 
 def _clique_scorer(Hk: KGraph, Hk1: KGraph, ground):
@@ -187,7 +212,7 @@ def _scan(Hk, Hk1, ground, eps, d, source, mode, certified) -> RegularityVerdict
     floor."""
     eps, d = Fraction(eps), Fraction(d)
     if isinstance(Hk1, VertexClassGraph):
-        score, walk = _pair_scorer(Hk, Hk1.classes, ground)
+        score, walk = _pair_scorer(Hk, Hk1.classes, ground, every=False)
     else:
         score, walk = _clique_scorer(Hk, Hk1, ground)
     full = (1 << len(ground)) - 1
@@ -255,10 +280,10 @@ def check_regular_sampled(
 
 def check_regular(Hk, Hk1, eps, d, *, trials=40, seed=0, exhaustive_cap=DEFAULT_EXHAUSTIVE_CAP):
     """Exhaustive when the quantifier fits under the cap, sampled otherwise."""
-    try:
+    size = len(Hk1.vertex_set() if isinstance(Hk1, VertexClassGraph) else Hk1.edges)
+    if size <= exhaustive_cap:
         return check_regular_exhaustive(Hk, Hk1, eps, d, exhaustive_cap)
-    except CapabilityError:
-        return check_regular_sampled(Hk, Hk1, eps, d, trials, seed)
+    return check_regular_sampled(Hk, Hk1, eps, d, trials, seed)
 
 
 # ---------------------------------------------------------------------------

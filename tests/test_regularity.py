@@ -601,3 +601,80 @@ class TestGrayWalk:
         below = VertexClassGraph((frozenset(range(4)), frozenset(range(4, 8))))
         v = check_regular_exhaustive(KGraph(2, 8), below, Fraction(1, 8), 0)
         assert v == RegularityVerdict(True, 0, ((3, 6, 7), 0), "exhaustive", True)
+
+
+# ---------------------------------------------------------------------------
+# the two-class source against binary counting: the exhaustive scan of a
+# two-class polyad enumerates only the smaller class, and must still return
+# the verdict, density and witness of _scan fed every mask in counting order
+
+def _two_class_instances():
+    """Unequal classes of 1-8 vertices, the smaller one before, after or
+    interleaved with the larger in vertex order, listed first or second;
+    the graphs have edges inside the classes too."""
+    import random
+    rng = random.Random(18)
+    for layout, p, _ in itertools.product(
+        ("before", "after", "interleaved"), (0, Fraction(1, 2), 1, None), range(5)
+    ):
+        small, large = sorted(rng.sample(range(1, 9), 2))
+        n = small + large
+        if layout == "before":
+            verts = list(range(n))
+        elif layout == "after":
+            verts = list(range(large, n)) + list(range(large))
+        else:
+            verts = rng.sample(range(n), n)
+        classes = [frozenset(verts[:small]), frozenset(verts[small:])]
+        if rng.random() < 0.5:
+            classes.reverse()
+        q = rng.random() if p is None else p
+        yield KGraph(2, n, frozenset(
+            e for e in itertools.combinations(range(n), 2) if rng.random() < q
+        )), VertexClassGraph(tuple(classes))
+
+
+class TestTwoClassSource:
+    def test_matches_binary_counting(self):
+        import random
+        from hyperreg.regularity import _ground, _pair_scorer, _scan
+        rng = random.Random(19)
+        inside = 0
+        for H, below in _two_class_instances():
+            ground = _ground(below)
+            A, B = below.classes
+            inside += any(set(e) <= A or set(e) <= B for e in H.edges)
+            score, _ = _pair_scorer(H, below.classes, ground)
+            binary = [(m, *score(m)) for m in range(1 << len(ground))]
+            for _ in range(8):
+                eps = Fraction(rng.randint(1, 20), 20)
+                d = Fraction(rng.randint(0, 6), 6)
+                want = _scan(H, below, ground, eps, d, lambda s, w: binary, "exhaustive", True)
+                got = check_regular_exhaustive(H, below, eps, d)
+                assert got == want, (sorted(A), sorted(B), sorted(H.edges), eps, d)
+        assert inside >= 30
+
+
+class TestRouting:
+    @pytest.mark.parametrize("make", [_random_pair_instance, _random_triple_instance])
+    def test_routes_on_ground_size(self, make, monkeypatch):
+        import random
+        from hyperreg import regularity
+        from hyperreg.regularity import check_regular
+
+        def refused(*args, **kwargs):
+            raise AssertionError("check_regular_exhaustive entered above the cap")
+
+        for seed in range(20):
+            rng = random.Random(seed)
+            H, below = make(rng)
+            eps = Fraction(rng.randint(1, 6), 12)
+            d = Fraction(rng.randint(0, 8), 8)
+            size = len(regularity._ground(below))
+            exact = check_regular(H, below, eps, d, trials=3, seed=seed, exhaustive_cap=size)
+            assert exact == check_regular_exhaustive(H, below, eps, d, size)
+            with monkeypatch.context() as m:
+                m.setattr(regularity, "check_regular_exhaustive", refused)
+                v = check_regular(H, below, eps, d, trials=3, seed=seed,
+                                  exhaustive_cap=size - 1)
+            assert v == check_regular_sampled(H, below, eps, d, 3, seed)
