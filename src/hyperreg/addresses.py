@@ -140,6 +140,13 @@ def address_space(ell: int, j_max: int, a) -> list:
     return out
 
 
+def in_address_space(x: AddressVector, ell: int, j_max: int, a) -> bool:
+    """Whether x lies in address_space(ell, j_max, a), without listing it."""
+    return x.ell == ell and x.level_max == j_max and all(
+        1 <= c <= a[i] for i, row in enumerate((x.x1, *x.labels)) for c in row
+    )
+
+
 def address_space_size(ell: int, j_max: int, a) -> int:
     a = tuple(a)
     total = comb(a[0], ell)

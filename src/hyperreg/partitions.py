@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .addresses import AddressVector, address_space, address_space_size
+from .addresses import AddressVector, address_space, address_space_size, in_address_space
 from .errors import ConstructionError, InputError
 from .hypergraph import Complex, KGraph, _class_index, _numbered_lines, cliques, crossing_sets
 
@@ -457,8 +457,11 @@ def family_from_text(text: str) -> PartitionFamily:
         a = tuple(int(x) for x in head[2:])
     except (ValueError, IndexError) as exc:
         raise InputError(f"bad header line {head_idx}: {head_ln!r}") from exc
-    if k < 2 or len(a) != k - 1:
-        raise InputError(f"bad header line {head_idx}: shape {a} does not match k={k}")
+    if k < 2 or n < 0 or len(a) != k - 1 or min(a) < 1:
+        raise InputError(
+            f"bad header line {head_idx}: {head_ln!r} needs k >= 2, n >= 0 "
+            "and k - 1 shape entries >= 1"
+        )
     vertex_classes = {}
     level_classes = {j: {} for j in range(2, k)}
     line_of = {}
@@ -485,9 +488,7 @@ def family_from_text(text: str) -> PartitionFamily:
         if j > 1:
             x, b = key
             # x1 holds j class indices; labels fill levels 2..j-1, each in 1..a_i
-            if x.ell != j or x.x1[-1] > a[0] or x.level_max != j - 1 or any(
-                not 1 <= c <= a[i] for i, row in enumerate(x.labels, start=1) for c in row
-            ):
+            if not in_address_space(x, j, j - 1, a):
                 raise InputError(f"bad family line {idx}: {toks[1]} names no level-{j} class")
             if not 1 <= b <= a[j - 1]:
                 raise InputError(f"bad family line {idx}: label {b} outside 1..{a[j - 1]}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
-from .addresses import AddressVector, address_space, address_space_size
+from .addresses import AddressVector, address_space, address_space_size, in_address_space
 from .errors import CapabilityError, InputError
 from .hypergraph import KGraph, _class_index, _numbered_lines, cliques
 from .partitions import PartitionFamily, VertexClassGraph
@@ -36,17 +36,15 @@ class RegularityVerdict:
 
 def relative_density(Hk: KGraph, Hk1) -> Fraction:
     """|H^(k) ∩ K_k(H^(k-1))| / |K_k(H^(k-1))|, 0 on empty clique sets."""
-    verdict = _scan(Hk, Hk1, _ground(Hk1), 1, 0, lambda score, walk: (), "density", True)
+    verdict = _scan(Hk, Hk1, _ground(Hk1), 1, 0, lambda *_: (), "density", True)
     return verdict.measured_density
 
 
 # ---------------------------------------------------------------------------
 # the scan: candidates Q are bitmasks over a sorted ground set, where
-# ground[i] sits at bit len(ground) - 1 - i.  A scorer gives score(mask) for
-# one candidate and walk(), which visits every nonempty mask in reflected
-# Gray-code order (Gray 1953; Knuth, TAOCP 7.2.1.1): step i flips the lowest
-# set bit of i, so each step updates the score by the flipped element alone.
-# The exhaustive scan of a two-class polyad enumerates only the smaller class
+# ground[i] sits at bit len(ground) - 1 - i.  A scorer returns score(mask)
+# and an exhaustive source of candidates (mask, size, hits) that reaches
+# the worst deviation.
 
 def _ground(Hk1) -> list:
     """Vertices of a vertex-class polyad, else the sub-edges of a (k-1)-graph."""
@@ -55,64 +53,39 @@ def _ground(Hk1) -> list:
     return sorted(Hk1.edges)
 
 
-def _members(ground, mask) -> list:
-    top = len(ground) - 1
-    return [g for i, g in enumerate(ground) if mask >> (top - i) & 1]
-
-
-def _pair_scorer(Hk: KGraph, classes, ground, every=True):
-    """k = 2: (crossing pairs, edges) inside a vertex mask.  Unless every
-    is set, the walk of a two-class polyad is the smaller-class source."""
+def _pair_scorer(Hk: KGraph, classes, ground):
+    """k = 2 over two vertex classes A and B: (crossing pairs, edges)
+    inside a vertex mask, and the smaller-class source."""
     if Hk.k != 2:
         raise InputError("a vertex-class polyad scores 2-graphs only")
+    cls = _class_index(classes)
+    if len(classes) != 2:
+        raise InputError(f"a vertex-class polyad has two classes, not {len(classes)}")
     top = len(ground) - 1
     pos = {v: top - i for i, v in enumerate(ground)}  # vertex -> bit position
-    cls = _class_index(classes)
-    class_masks = [sum(1 << pos[v] for v in c) for c in classes]
-    nbrs = [0] * len(ground)
+    A, B = (sum(1 << pos[v] for v in c) for c in classes)
+    nbrs = [0] * len(ground)  # the other-class neighbours of each bit
     for u, v in Hk.edges:
         if u in cls and v in cls and cls[u] != cls[v]:
             nbrs[pos[u]] |= 1 << pos[v]
             nbrs[pos[v]] |= 1 << pos[u]
 
     def score(mask):
-        size = mask.bit_count()
-        pairs = size * size - sum((mask & m).bit_count() ** 2 for m in class_masks)
-        edges, rest = 0, mask
+        edges, rest = 0, mask & A
         while rest:
             low = rest & -rest
             rest ^= low
             edges += (nbrs[low.bit_length() - 1] & mask).bit_count()
-        return pairs // 2, edges // 2
-
-    def walk():
-        # flipping vertex v changes the pairs by its partners in other
-        # classes inside the mask, and the edges by its neighbours there
-        full = (1 << len(ground)) - 1
-        flip = {1 << pos[v]: (full & ~class_masks[cls[v]], nbrs[pos[v]]) for v in ground}
-        mask = pairs = edges = 0
-        for i in range(1, 1 << len(ground)):
-            low = i & -i
-            mask ^= low
-            other, adj = flip[low]
-            if mask & low:
-                pairs += (mask & other).bit_count()
-                edges += (mask & adj).bit_count()
-            else:
-                pairs -= (mask & other).bit_count()
-                edges -= (mask & adj).bit_count()
-            yield mask, pairs, edges
+        return (mask & A).bit_count() * (mask & B).bit_count(), edges
 
     def extremes():
         # each nonempty S of the smaller class, and for each t the T of t
-        # vertices of the other class with the most and with the fewest
-        # neighbours in S.  With S and t fixed the size |S|·t and the floor
-        # are fixed, and |hits - d·size| is largest at an end of the range
-        # of degree sums, so some top-t or bottom-t sum reaches the walk's
-        # worst deviation.  The stable sorts keep degree ties in ascending
-        # bits, so each prefix is the smallest mask with its sum: the
-        # smallest worst mask is among these, and _scan keeps it as before
-        small, large = sorted(class_masks, key=int.bit_count)
+        # other-class vertices with the most and with the fewest neighbours
+        # in S: with S and t fixed, the size |S|·t and the floor are fixed,
+        # so a top-t or bottom-t degree sum reaches the worst deviation over
+        # all masks.  The stable sorts keep degree ties in ascending bits, so
+        # each prefix is the smallest mask with its sum, which _scan keeps
+        small, large = sorted((A, B), key=int.bit_count)
         others = [(1 << b, nbrs[b]) for b in range(len(ground)) if large >> b & 1]
         S = small
         while S:
@@ -126,16 +99,19 @@ def _pair_scorer(Hk: KGraph, classes, ground, every=True):
                     yield mask, size * t, hits
             S = (S - 1) & small
 
-    return score, walk if every or len(classes) != 2 else extremes
+    return score, extremes
 
 
 def _clique_scorer(Hk: KGraph, Hk1: KGraph, ground):
-    """k >= 3: (|K_k(Q)|, edges of Hk among them) for the sub-graph Q.
+    """k >= 3: (|K_k(Q)|, edges of Hk among them) for the sub-graph Q, and
+    a walk over every nonempty mask as the exhaustive source.
 
     K_k(Hk1) is listed once, each clique one bit of an int bitset; inc[b]
     holds the cliques that contain the sub-edge at bit b.  Q keeps the
-    cliques that contain no sub-edge outside Q.  The walk counts, for each
-    clique, its sub-edges outside Q; flipping one touches only its cliques."""
+    cliques that contain no sub-edge outside Q.  The walk goes in reflected
+    Gray-code order (Gray 1953; Knuth, TAOCP 7.2.1.1): step i flips the
+    lowest set bit of i.  It counts, for each clique, its sub-edges outside
+    Q, so a flip touches only the cliques of the flipped sub-edge."""
     top = len(ground) - 1
     pos = {g: top - i for i, g in enumerate(ground)}  # sub-edge -> bit position
     inc = [0] * len(ground)
@@ -203,18 +179,18 @@ def _retained(size: int, trials: int, seed: int):
 
 
 def _scan(Hk, Hk1, ground, eps, d, source, mode, certified) -> RegularityVerdict:
-    """Score the candidates (mask, size, hits) that source(score, walk)
-    yields over the floor eps*|K_k(Hk1)|; the worst is of maximal deviation
-    |hits - d*size| / size.  A certified scan visits every mask, so among
-    equal deviations it keeps the smallest mask, in whatever order it
-    visits them; a sampled scan keeps the first it visits.  The full ground
-    set is scored once: it gives K_k(Hk1), the measured density and the
-    floor."""
+    """Score the candidates (mask, size, hits) that
+    source(score, exhaustive) yields over the floor eps*|K_k(Hk1)|; the
+    worst is of maximal deviation |hits - d*size| / size.  Among equal
+    deviations a certified scan keeps the smallest mask, in whatever order
+    its source yields them; a sampled scan keeps the first it meets.  The
+    full ground set is scored once: it gives K_k(Hk1), the measured density
+    and the floor."""
     eps, d = Fraction(eps), Fraction(d)
     if isinstance(Hk1, VertexClassGraph):
-        score, walk = _pair_scorer(Hk, Hk1.classes, ground, every=False)
+        score, exhaustive = _pair_scorer(Hk, Hk1.classes, ground)
     else:
-        score, walk = _clique_scorer(Hk, Hk1, ground)
+        score, exhaustive = _clique_scorer(Hk, Hk1, ground)
     full = (1 << len(ground)) - 1
     full_score = score(full)
     total, total_hits = full_score
@@ -228,7 +204,7 @@ def _scan(Hk, Hk1, ground, eps, d, source, mode, certified) -> RegularityVerdict
     def scored(mask):
         return full_score if mask == full else score(mask)
 
-    for mask, size, hits in source(scored, walk):
+    for mask, size, hits in source(scored, exhaustive):
         if not size or size * eps_den < floor:
             continue
         num = abs(hits * d_den - d_num * size)
@@ -238,7 +214,8 @@ def _scan(Hk, Hk1, ground, eps, d, source, mode, certified) -> RegularityVerdict
             worst_num, worst_den, worst_mask = num, den, mask
     if worst_mask is None:
         return RegularityVerdict(True, dens, None, mode, certified)
-    picked = _members(ground, worst_mask)
+    top = len(ground) - 1
+    picked = [g for i, g in enumerate(ground) if worst_mask >> (top - i) & 1]
     witness = tuple(picked) if isinstance(Hk1, VertexClassGraph) else frozenset(picked)
     dev = Fraction(worst_num, worst_den)
     return RegularityVerdict(dev <= eps, dens, (witness, dev), mode, certified)
@@ -259,7 +236,9 @@ def check_regular_exhaustive(
             f"{len(ground)} {what} exceed the exhaustive cap {exhaustive_cap}; "
             "use check_regular_sampled"
         )
-    return _scan(Hk, Hk1, ground, eps, d, lambda score, walk: walk(), "exhaustive", True)
+    return _scan(
+        Hk, Hk1, ground, eps, d, lambda _, exhaustive: exhaustive(), "exhaustive", True
+    )
 
 
 def check_regular_sampled(
@@ -273,13 +252,16 @@ def check_regular_sampled(
     ground = _ground(Hk1)
     masks = _retained(len(ground), trials, seed)
     return _scan(
-        Hk, Hk1, ground, eps, d, lambda score, walk: ((m, *score(m)) for m in masks),
+        Hk, Hk1, ground, eps, d, lambda score, _: ((m, *score(m)) for m in masks),
         f"sampled({trials},{seed})", False,
     )
 
 
 def check_regular(Hk, Hk1, eps, d, *, trials=40, seed=0, exhaustive_cap=DEFAULT_EXHAUSTIVE_CAP):
-    """Exhaustive when the quantifier fits under the cap, sampled otherwise."""
+    """Exhaustive when the quantifier fits under the cap, sampled otherwise;
+    trials must be >= 1 on both routes."""
+    if trials < 1:
+        raise InputError("trials must be >= 1")
     size = len(Hk1.vertex_set() if isinstance(Hk1, VertexClassGraph) else Hk1.edges)
     if size <= exhaustive_cap:
         return check_regular_exhaustive(Hk, Hk1, eps, d, exhaustive_cap)
@@ -532,8 +514,12 @@ def instance_from_text(text: str) -> RegularityInstance:
         a = tuple(int(x) for x in head[1:])
     except (ValueError, IndexError, ZeroDivisionError) as exc:
         raise InputError(f"bad header line {head_idx}: {head_ln!r}") from exc
-    if not a or min(a) < 1:
-        raise InputError(f"bad header line {head_idx}: {head_ln!r} needs a shape a >= 1")
+    k = len(a) + 1
+    if not a or min(a) < 1 or a[0] < k or not 0 < epsilon <= 1:
+        raise InputError(
+            f"bad header line {head_idx}: {head_ln!r} needs epsilon in (0, 1] "
+            "and a shape a >= 1 with a1 >= k"
+        )
     values = {}
     for idx, ln in body:
         try:
@@ -541,10 +527,15 @@ def instance_from_text(text: str) -> RegularityInstance:
             x, v = AddressVector.decode(enc), Fraction(val)
         except (ValueError, InputError, ZeroDivisionError) as exc:
             raise InputError(f"bad density line {idx}: {ln!r}") from exc
+        if not in_address_space(x, k, k - 1, a) or not 0 <= v <= 1:
+            raise InputError(
+                f"bad density line {idx}: {ln!r} needs an address of shape {a} "
+                "and a density in [0, 1]"
+            )
         if x in values:
             raise InputError(f"bad density line {idx}: repeats address {enc}")
         values[x] = v
-    size = address_space_size(len(a) + 1, len(a), a)
+    size = address_space_size(k, k - 1, a)
     if size != len(values):
         raise InputError(
             f"bad header line {head_idx}: shape {a} has {size} addresses, "

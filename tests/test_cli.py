@@ -94,6 +94,20 @@ class TestGenCheck:
         assert code == 2
         assert "line 2" in err
 
+    def test_zero_trials_refused_under_the_cap(self, tmp_path):
+        # at n = 16, a=(2,) the one polyad has 16 vertices, under the cap of
+        # 24, so no sampled check runs; trials are refused all the same
+        prefix = str(tmp_path / "small")
+        code, _, err = run([
+            "gen", "--n", "16", "--a", "2", "--density", "1/2", "--seed", "1", "--out", prefix,
+        ])
+        assert code == 0, err
+        code, out, err = run([
+            "check", "--hypergraph", prefix + ".hg", "--instance", prefix + ".ri",
+            "--family", prefix + ".pf", "--trials", "0", "--seed", "1",
+        ])
+        assert (code, out, err) == (2, "", "error: trials must be >= 1\n")
+
     def test_missing_file_exit_2(self, gen_prefix):
         code, _, err = run([
             "check", "--hypergraph", gen_prefix + ".nope",
@@ -213,6 +227,35 @@ class TestMalformedInputs:
 
     def test_negative_vertex_count(self, gen_prefix, tmp_path):
         self.assert_rejected(gen_prefix, tmp_path, "hg", ["2 -1"], 1)
+
+    # a=(3,) on n=120: the header and the first density line, each out of range
+    @pytest.mark.parametrize("line_no, text", [
+        (1, "0 3"),
+        (1, "3/2 3"),
+        (2, "1,2 3/2"),
+        (2, "1,4 1/2"),
+        (2, "2,3;1 1/2"),
+    ], ids=["epsilon-zero", "epsilon-high", "density", "class-index", "label"])
+    def test_instance_range(self, gen_prefix, tmp_path, line_no, text):
+        ri = self.lines(gen_prefix, "ri")
+        ri[line_no - 1] = text
+        self.assert_rejected(gen_prefix, tmp_path, "ri", ri, line_no)
+
+    def test_instance_a1_below_k(self, gen_prefix, tmp_path):
+        # a1 < k leaves no address, so the file is its header alone
+        self.assert_rejected(gen_prefix, tmp_path, "ri", ["1/10 1"], 1)
+
+    @pytest.mark.parametrize("fixture, header", [
+        ("gen_prefix", "2 120 -1"),
+        ("gen_prefix", "2 -120 3"),
+        ("gen_prefix", "2 120 0"),
+        ("gen_prefix_k3", "3 24 4 0"),
+    ], ids=["a1-negative", "n-negative", "a1-zero", "a2-zero"])
+    def test_family_header_range(self, request, tmp_path, fixture, header):
+        prefix = request.getfixturevalue(fixture)
+        pf = self.lines(prefix, "pf")
+        pf[0] = header
+        self.assert_rejected(prefix, tmp_path, "pf", pf, 1)
 
     def test_instance_header_without_shape(self, gen_prefix, tmp_path):
         ri = self.lines(gen_prefix, "ri")

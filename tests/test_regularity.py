@@ -103,6 +103,21 @@ def test_overlapping_classes_rejected():
         check_regular_sampled(H, below, eps, d, 3, 0)
 
 
+def test_three_class_polyad_rejected():
+    # a level-1 address of three classes names a polyad PartitionFamily
+    # builds, but a vertex-class polyad is a pair
+    H, F, _ = planted((4,), 24, 0)
+    below = F.polyad(AddressVector.decode("1,2,3"))
+    eps, d = Fraction(1, 4), Fraction(1, 2)
+    for check in (
+        lambda: check_regular_exhaustive(H, below, eps, d),
+        lambda: check_regular_sampled(H, below, eps, d, 3, 0),
+        lambda: relative_density(H, below),
+    ):
+        with pytest.raises(InputError, match="has two classes, not 3"):
+            check()
+
+
 class TestSampled:
     def test_density_mismatch_refuted_by_full_ground(self):
         _, below = half_graph(3)
@@ -400,7 +415,7 @@ def _oracle_sampled(H, below, eps, d, trials, seed):
 
 
 def _random_pair_instance(rng):
-    sizes = [rng.randint(1, 3) for _ in range(rng.choice((2, 2, 3)))]
+    sizes = [rng.randint(1, 3) for _ in range(2)]
     verts = list(range(sum(sizes)))
     rng.shuffle(verts)
     classes, at = [], 0
@@ -533,24 +548,6 @@ class TestCliqueScorer:
 # order, each scored from scratch, where the first mask of maximal deviation
 # is also the smallest
 
-def _tie_rich_pairs():
-    """k = 2 on 10-16 vertices in two or three classes; empty, complete and
-    random graphs, with edges inside classes too."""
-    import random
-    rng = random.Random(11)
-    for n, parts in ((10, 2), (11, 3), (13, 2), (14, 3), (16, 2)):
-        verts = list(range(n))
-        rng.shuffle(verts)
-        cuts = [0, *sorted(rng.sample(range(1, n), parts - 1)), n]
-        below = VertexClassGraph(tuple(
-            frozenset(verts[lo:hi]) for lo, hi in zip(cuts, cuts[1:])
-        ))
-        for p in (0, Fraction(1, 2), 1):
-            yield KGraph(2, n, frozenset(
-                e for e in itertools.combinations(range(n), 2) if rng.random() < p
-            )), below
-
-
 def _tie_rich_triples():
     """k = 3 over at most 14 sub-edges; the pendant sub-edge (6, 7) lies in
     no triangle, and the complete and random 3-graphs have edges outside
@@ -567,21 +564,17 @@ def _tie_rich_triples():
 
 
 class TestGrayWalk:
-    @pytest.mark.parametrize("make", [_tie_rich_pairs, _tie_rich_triples])
-    def test_matches_binary_counting(self, make):
-        from hyperreg.regularity import _clique_scorer, _ground, _pair_scorer, _scan
+    def test_matches_binary_counting(self):
+        from hyperreg.regularity import _clique_scorer, _ground, _scan
         eps_cycle = itertools.cycle((Fraction(1, 20), Fraction(1, 8), Fraction(1, 3)))
         outside = unused = False
-        for H, below in make():
+        for H, below in _tie_rich_triples():
             ground = _ground(below)
-            if isinstance(below, VertexClassGraph):
-                score, walk = _pair_scorer(H, below.classes, ground)
-            else:
-                assert len(ground) <= 14
-                score, walk = _clique_scorer(H, below, ground)
-                kk = cliques(below, 3)
-                outside |= bool(H.edges - kk)
-                unused |= any(not any(set(g) <= set(c) for c in kk) for g in ground)
+            assert len(ground) <= 14
+            score, walk = _clique_scorer(H, below, ground)
+            kk = cliques(below, 3)
+            outside |= bool(H.edges - kk)
+            unused |= any(not any(set(g) <= set(c) for c in kk) for g in ground)
             binary = [(m, *score(m)) for m in range(1 << len(ground))]
             visited = set()
             for mask, size, hits in walk():
@@ -590,17 +583,9 @@ class TestGrayWalk:
             assert len(visited) == len(binary) - 1 and 0 not in visited
             for d in (0, Fraction(1, 2), 1):
                 eps = next(eps_cycle)
-                want = _scan(H, below, ground, eps, d, lambda s, w: binary, "exhaustive", True)
+                want = _scan(H, below, ground, eps, d, lambda *_: binary, "exhaustive", True)
                 assert check_regular_exhaustive(H, below, eps, d) == want, (len(ground), d, eps)
-        assert isinstance(below, VertexClassGraph) or (outside and unused)
-
-    def test_smallest_mask_over_the_floor_wins(self):
-        # empty 2-graph on 4 + 4 vertices at d = 0: every candidate deviates
-        # by 0, and eps = 1/8 asks for 2 of the 16 crossing pairs.  The
-        # smallest such mask is {3, 6, 7}; the walk visits {3, 4, 7} first
-        below = VertexClassGraph((frozenset(range(4)), frozenset(range(4, 8))))
-        v = check_regular_exhaustive(KGraph(2, 8), below, Fraction(1, 8), 0)
-        assert v == RegularityVerdict(True, 0, ((3, 6, 7), 0), "exhaustive", True)
+        assert outside and unused
 
 
 # ---------------------------------------------------------------------------
@@ -634,13 +619,27 @@ def _two_class_instances():
         )), VertexClassGraph(tuple(classes))
 
 
+def _tie_rich_pairs():
+    """Two near-equal classes over 10, 13 and 16 shuffled vertices; empty,
+    half and complete graphs, with edges inside the classes too."""
+    import random
+    rng = random.Random(11)
+    for n in (10, 13, 16):
+        verts = rng.sample(range(n), n)
+        below = VertexClassGraph((frozenset(verts[:n // 2]), frozenset(verts[n // 2:])))
+        for p in (0, Fraction(1, 2), 1):
+            yield KGraph(2, n, frozenset(
+                e for e in itertools.combinations(range(n), 2) if rng.random() < p
+            )), below
+
+
 class TestTwoClassSource:
     def test_matches_binary_counting(self):
         import random
         from hyperreg.regularity import _ground, _pair_scorer, _scan
         rng = random.Random(19)
         inside = 0
-        for H, below in _two_class_instances():
+        for H, below in itertools.chain(_two_class_instances(), _tie_rich_pairs()):
             ground = _ground(below)
             A, B = below.classes
             inside += any(set(e) <= A or set(e) <= B for e in H.edges)
@@ -649,10 +648,18 @@ class TestTwoClassSource:
             for _ in range(8):
                 eps = Fraction(rng.randint(1, 20), 20)
                 d = Fraction(rng.randint(0, 6), 6)
-                want = _scan(H, below, ground, eps, d, lambda s, w: binary, "exhaustive", True)
+                want = _scan(H, below, ground, eps, d, lambda *_: binary, "exhaustive", True)
                 got = check_regular_exhaustive(H, below, eps, d)
                 assert got == want, (sorted(A), sorted(B), sorted(H.edges), eps, d)
         assert inside >= 30
+
+    def test_smallest_mask_over_the_floor_wins(self):
+        # empty 2-graph on 4 + 4 vertices at d = 0: every candidate deviates
+        # by 0, and eps = 1/8 asks for 2 of the 16 crossing pairs.  The
+        # smallest such mask is {3, 6, 7}
+        below = VertexClassGraph((frozenset(range(4)), frozenset(range(4, 8))))
+        v = check_regular_exhaustive(KGraph(2, 8), below, Fraction(1, 8), 0)
+        assert v == RegularityVerdict(True, 0, ((3, 6, 7), 0), "exhaustive", True)
 
 
 class TestRouting:
