@@ -548,6 +548,20 @@ class TestCliqueScorer:
 # order, each scored from scratch, where the first mask of maximal deviation
 # is also the smallest
 
+def _tie_rich_pairs():
+    """Two near-equal classes over 10, 13 and 16 shuffled vertices; empty,
+    half and complete graphs, with edges inside the classes too."""
+    import random
+    rng = random.Random(11)
+    for n in (10, 13, 16):
+        verts = rng.sample(range(n), n)
+        below = VertexClassGraph((frozenset(verts[:n // 2]), frozenset(verts[n // 2:])))
+        for p in (0, Fraction(1, 2), 1):
+            yield KGraph(2, n, frozenset(
+                e for e in itertools.combinations(range(n), 2) if rng.random() < p
+            )), below
+
+
 def _tie_rich_triples():
     """k = 3 over at most 14 sub-edges; the pendant sub-edge (6, 7) lies in
     no triangle, and the complete and random 3-graphs have edges outside
@@ -564,28 +578,35 @@ def _tie_rich_triples():
 
 
 class TestGrayWalk:
-    def test_matches_binary_counting(self):
-        from hyperreg.regularity import _clique_scorer, _ground, _scan
+    # the k = 2 case has no walk: its source is the smaller-class scan, and
+    # only its verdicts are held to _scan fed every mask in counting order
+    @pytest.mark.parametrize("make", [_tie_rich_pairs, _tie_rich_triples])
+    def test_matches_binary_counting(self, make):
+        from hyperreg.regularity import _clique_scorer, _ground, _pair_scorer, _scan
         eps_cycle = itertools.cycle((Fraction(1, 20), Fraction(1, 8), Fraction(1, 3)))
         outside = unused = False
-        for H, below in _tie_rich_triples():
+        for H, below in make():
             ground = _ground(below)
-            assert len(ground) <= 14
-            score, walk = _clique_scorer(H, below, ground)
-            kk = cliques(below, 3)
-            outside |= bool(H.edges - kk)
-            unused |= any(not any(set(g) <= set(c) for c in kk) for g in ground)
-            binary = [(m, *score(m)) for m in range(1 << len(ground))]
-            visited = set()
-            for mask, size, hits in walk():
-                assert binary[mask] == (mask, size, hits)
-                visited.add(mask)
-            assert len(visited) == len(binary) - 1 and 0 not in visited
+            if isinstance(below, VertexClassGraph):
+                score, _ = _pair_scorer(H, below.classes, ground)
+                binary = [(m, *score(m)) for m in range(1 << len(ground))]
+            else:
+                assert len(ground) <= 14
+                score, walk = _clique_scorer(H, below, ground)
+                kk = cliques(below, 3)
+                outside |= bool(H.edges - kk)
+                unused |= any(not any(set(g) <= set(c) for c in kk) for g in ground)
+                binary = [(m, *score(m)) for m in range(1 << len(ground))]
+                visited = set()
+                for mask, size, hits in walk():
+                    assert binary[mask] == (mask, size, hits)
+                    visited.add(mask)
+                assert len(visited) == len(binary) - 1 and 0 not in visited
             for d in (0, Fraction(1, 2), 1):
                 eps = next(eps_cycle)
                 want = _scan(H, below, ground, eps, d, lambda *_: binary, "exhaustive", True)
                 assert check_regular_exhaustive(H, below, eps, d) == want, (len(ground), d, eps)
-        assert outside and unused
+        assert isinstance(below, VertexClassGraph) or (outside and unused)
 
 
 # ---------------------------------------------------------------------------
@@ -619,27 +640,13 @@ def _two_class_instances():
         )), VertexClassGraph(tuple(classes))
 
 
-def _tie_rich_pairs():
-    """Two near-equal classes over 10, 13 and 16 shuffled vertices; empty,
-    half and complete graphs, with edges inside the classes too."""
-    import random
-    rng = random.Random(11)
-    for n in (10, 13, 16):
-        verts = rng.sample(range(n), n)
-        below = VertexClassGraph((frozenset(verts[:n // 2]), frozenset(verts[n // 2:])))
-        for p in (0, Fraction(1, 2), 1):
-            yield KGraph(2, n, frozenset(
-                e for e in itertools.combinations(range(n), 2) if rng.random() < p
-            )), below
-
-
 class TestTwoClassSource:
     def test_matches_binary_counting(self):
         import random
         from hyperreg.regularity import _ground, _pair_scorer, _scan
         rng = random.Random(19)
         inside = 0
-        for H, below in itertools.chain(_two_class_instances(), _tie_rich_pairs()):
+        for H, below in _two_class_instances():
             ground = _ground(below)
             A, B = below.classes
             inside += any(set(e) <= A or set(e) <= B for e in H.edges)
