@@ -12,7 +12,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .addresses import AddressVector, address_space
+from .addresses import AddressVector, in_address_space
 from .counting import ic, ic_family
 from .errors import CapabilityError, ConstructionError, InputError
 from .hypergraph import (
@@ -138,7 +138,7 @@ def cmd_slice(args) -> int:
     H = kgraph_from_text(_read(args.hypergraph))
     F = family_from_text(_read(args.family))
     x = AddressVector.decode(args.address)
-    if x not in address_space(F.k, F.k - 1, F.a):
+    if not in_address_space(x, F.k, F.k - 1, F.a):
         raise InputError(f"address {args.address} names no top-level polyad")
     probs = [_fraction(p) for p in args.probs.split(",")]
     try:
@@ -182,10 +182,12 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_sample(args) -> int:
     H = kgraph_from_text(_read(args.hypergraph))
+    F = family_from_text(_read(args.family)) if args.family else None
+    if F is not None and F.n != H.n:
+        raise InputError(f"family n={F.n} differs from hypergraph n={H.n}")
     Q = sample_vertices(H.n, args.q, args.seed)
     _write(args.out + ".hg", kgraph_to_text(induce(H, Q)))
-    if args.family:
-        F = family_from_text(_read(args.family))
+    if F is not None:
         _write(args.out + ".pf", family_to_text(induce_family(F, Q)))
     return 0
 

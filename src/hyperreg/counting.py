@@ -69,6 +69,8 @@ def ic_sigma(F: KGraph, d: DensityFunction, x: AddressVector, sigma) -> Fraction
     """
     ell = F.n
     k = d.k
+    if F.k != k:
+        raise InputError(f"pattern k={F.k} differs from density k={k}")
     sigma = tuple(sigma)
     if sorted(sigma) != sorted(x.x1):
         raise InputError(f"sigma {sigma} is not a bijection onto {x.x1}")
@@ -92,6 +94,8 @@ def ic(F: KGraph, d: DensityFunction) -> ICBreakdown:
     common denominator D^C(ell, k); each entry divides once.  ic_sigma is
     the Fraction oracle it must match."""
     ell, k = F.n, d.k
+    if F.k != k:
+        raise InputError(f"pattern k={F.k} differs from density k={k}")
     if ell > d.a[0]:
         raise InputError(f"pattern order {ell} exceeds a1={d.a[0]}: no crossing sets")
     aut = cached_automorphism_count(F)
@@ -189,8 +193,8 @@ def _report_line(metric, value, bound, ok) -> str:
 def verify_counting_lemma(C, d_vec, gamma, p_top=None) -> CheckReport:
     """Compare the crossing clique count of the top layer against the
     product prediction (1 ± gamma) · prod p_Lambda · prod d_j^C(ell,j) ·
-    prod m_i.  p_top, when given, maps each k-subset of class indices to
-    its own top-layer density."""
+    prod m_i, where d_vec maps each layer j to its density d_j.  p_top, when
+    given, maps each k-subset of class indices to its own top-layer density."""
     gamma = Fraction(gamma)
     k = C.k
     ell = len(C.vertex_classes)
@@ -198,10 +202,7 @@ def verify_counting_lemma(C, d_vec, gamma, p_top=None) -> CheckReport:
     pred = Fraction(1)
     for m in sizes:
         pred *= m
-    if isinstance(d_vec, dict):
-        dmap = {j: Fraction(v) for j, v in d_vec.items()}
-    else:
-        dmap = {j: Fraction(v) for j, v in zip(range(2, k + 1), d_vec)}
+    dmap = {j: Fraction(v) for j, v in d_vec.items()}
     for lam in itertools.combinations(range(ell), k):
         pred *= Fraction(p_top[lam]) if p_top else dmap[k]
     for j in range(2, k):

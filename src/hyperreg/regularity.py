@@ -296,14 +296,15 @@ def check_complex_regular(
     C, eps, d_vec, *, trials=40, seed=0, exhaustive_cap=DEFAULT_EXHAUSTIVE_CAP
 ):
     """Layer-by-layer regularity, per j-subset of classes for multipartite
-    layers; returns {(j, lam): verdict} plus the overall verdict under 'ok'."""
+    layers, against d_vec: one density per layer, in ascending layer order.
+    Returns {(j, lam): verdict} plus the overall verdict under 'ok'."""
     eps = Fraction(eps)
     ell = len(C.vertex_classes)
     out = {}
     for pos, j in enumerate(sorted(C.layers)):
         if j < 2:
             continue
-        d = Fraction(d_vec[pos]) if not isinstance(d_vec, dict) else Fraction(d_vec[j])
+        d = Fraction(d_vec[pos])
         for lam in itertools.combinations(range(ell), j):
             top, below = _layer_pair(C, j, lam)
             v = check_regular(
@@ -465,6 +466,10 @@ def check_instance_witness(
     respect to every top-level polyad."""
     if F.a != R.a:
         raise InputError(f"family shape {F.a} differs from instance shape {R.a}")
+    if H.k != R.k:
+        raise InputError(f"hypergraph k={H.k} differs from instance k={R.k}")
+    if H.n != F.n:
+        raise InputError(f"hypergraph n={H.n} differs from family n={F.n}")
     fails = []
     if not _size_window_ok(F):
         sizes = sorted(len(c) for c in F.vertex_classes)

@@ -321,13 +321,12 @@ def reconstruct(O: PartitionFamily, P: PartitionFamily, nu) -> PartitionFamily:
 
 def perturb_family(F: PartitionFamily, nu, seed) -> PartitionFamily:
     """Move up to nu·C(n, j) j-sets between classes of the same polyad at
-    each level (vertices between classes when k = 2).  For k <= 3 axiom
-    (vii) survives: a moved set stays among its polyad's cliques.  For
-    k >= 4 it can fail, since the level-(j+1) classes above a moved j-set
-    stay where they were and can leave their polyads' cliques."""
+    each level (vertices between classes when k = 2).  After the moves at
+    level j the family is rebuilt: every other set keeps its old label (and
+    each polyad its old label keys) in the polyad it now lies in, so axiom
+    (vii) holds at every k; a set that no old class covers stays uncovered."""
     nu = Fraction(nu)
     k, n, a = F.k, F.n, F.a
-    emptied = False
 
     if k == 2:
         budget = int(nu * n)
@@ -343,23 +342,21 @@ def perturb_family(F: PartitionFamily, nu, seed) -> PartitionFamily:
             v = min(classes[src])
             classes[src].discard(v)
             classes[dst].add(v)
-        emptied = any(not c for c in classes)
         return PartitionFamily(
             k, n, a, tuple(frozenset(c) for c in classes), {},
-            relaxed=F.relaxed or emptied,
+            relaxed=F.relaxed or any(not c for c in classes),
         )
 
-    level_classes = {j: dict(F.level_classes[j]) for j in range(2, k)}
     for j in range(2, k):
         budget = int(nu * comb(n, j))
         rng = substream(seed, "perturb", j)
         addresses = sorted(
-            {x for (x, bb), e in level_classes[j].items() if e},
+            {x for (x, bb), e in F.level_classes[j].items() if e},
             key=lambda x: x.encode(),
         )
         if not addresses or a[j - 1] < 2:
             continue
-        classes = {key: set(e) for key, e in level_classes[j].items()}
+        classes = {key: set(e) for key, e in F.level_classes[j].items()}
         for _ in range(budget):
             x = addresses[rng.randrange(len(addresses))]
             src = rng.randrange(a[j - 1]) + 1
@@ -372,14 +369,16 @@ def perturb_family(F: PartitionFamily, nu, seed) -> PartitionFamily:
             L = min(pool)
             pool.discard(L)
             classes.setdefault((x, dst), set()).add(L)
-        for key, e in classes.items():
-            level_classes[j][key] = frozenset(e)
-        if any(
-            not level_classes[j].get((x, bb))
-            for x in addresses
-            for bb in range(1, a[j - 1] + 1)
-        ):
-            emptied = True
-    return PartitionFamily(
-        k, n, a, F.vertex_classes, level_classes, relaxed=F.relaxed or emptied
-    )
+
+        def keep_label(i, x, pk, old=F, j=j, classes=classes):
+            labels = range(1, a[i - 1] + 1)
+            if i == j:
+                return {bb: classes[(x, bb)] for bb in labels if (x, bb) in classes}
+            out = {bb: set() for bb in labels if (x, bb) in old.level_classes[i]}
+            for L in pk:
+                hit = old.containing_class(L)
+                if hit is not None:
+                    out.setdefault(hit[1], set()).add(L)
+            return out
+        F = _build_levels(k, n, a, F.vertex_classes, keep_label, F.relaxed)[0]
+    return F

@@ -279,6 +279,57 @@ class TestMalformedInputs:
         self.assert_rejected(gen_prefix, tmp_path, "ri", ri, len(ri))
 
 
+class TestMismatchedInputs:
+    """Files that each parse but do not belong together are bad input."""
+
+    @staticmethod
+    def gen(tmp_path, n, a):
+        prefix = str(tmp_path / "other")
+        code, _, err = run([
+            "gen", "--n", str(n), "--a", a, "--density", "1/2",
+            "--epsilon", "1/10", "--seed", "3", "--out", prefix,
+        ])
+        assert code == 0, err
+        return prefix
+
+    @pytest.mark.parametrize("n, a, message", [
+        (24, "4", "hypergraph k=2 differs from instance k=3"),
+        (30, "4,2", "hypergraph n=30 differs from family n=24"),
+    ], ids=["k", "n"])
+    def test_check(self, gen_prefix_k3, tmp_path, n, a, message):
+        other = self.gen(tmp_path, n, a)
+        code, out, err = run([
+            "check", "--hypergraph", other + ".hg",
+            "--instance", gen_prefix_k3 + ".ri",
+            "--family", gen_prefix_k3 + ".pf", "--seed", "23",
+        ])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_sample_family_of_other_n(self, gen_prefix_k3, tmp_path):
+        other = self.gen(tmp_path, 30, "4,2")
+        code, out, err = run([
+            "sample", "--hypergraph", other + ".hg",
+            "--family", gen_prefix_k3 + ".pf", "--q", "12",
+            "--seed", "2", "--out", str(tmp_path / "sub"),
+        ])
+        assert (code, out, err) == (
+            2, "", "error: family n=24 differs from hypergraph n=30\n"
+        )
+        assert not list(tmp_path.glob("sub.*"))
+
+    def test_count_ic_pattern_of_other_k(self, gen_prefix_k3, tmp_path):
+        from hyperreg import KGraph
+        pat = tmp_path / "tri.hg"
+        pat.write_text(kgraph_to_text(KGraph(2, 3, {(0, 1), (0, 2), (1, 2)})))
+        code, out, err = run([
+            "count", "--ic", "--pattern", str(pat),
+            "--instance", gen_prefix_k3 + ".ri",
+        ])
+        assert (code, out, err) == (
+            2, "", "error: pattern k=2 differs from density k=3\n"
+        )
+
+
 class TestCount:
     def test_ic_all_classes_is_one(self, gen_prefix):
         code, out, _ = run([

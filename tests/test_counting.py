@@ -147,6 +147,17 @@ class TestICBreakdown:
         with pytest.raises(InputError):
             ic(KGraph(2, 4), d)
 
+    def test_pattern_uniformity_mismatch_rejected(self):
+        # a 2-graph pattern read against k = 3 densities would get the
+        # value of the empty 3-graph
+        d = DensityFunction.constant((4, 2), Fraction(1, 2))
+        tri = KGraph(2, 3, {(0, 1), (0, 2), (1, 2)})
+        x = _addr((4, 2), 3)[0]
+        with pytest.raises(InputError, match="pattern k=2 differs from density k=3"):
+            ic(tri, d)
+        with pytest.raises(InputError, match="pattern k=2 differs from density k=3"):
+            ic_sigma(tri, d, x, x.x1)
+
 
 class TestNormalization:
     @pytest.mark.parametrize(

@@ -273,6 +273,18 @@ class TestEquitableAndWitness:
         with pytest.raises(InputError):
             check_instance_witness(H, RegularityInstance(Fraction(1, 5), (3,), d), F)
 
+    @pytest.mark.parametrize("a_h, n_h, message", [
+        ((4,), 24, "hypergraph k=2 differs from instance k=3"),
+        ((4, 2), 30, "hypergraph n=30 differs from family n=24"),
+    ], ids=["k", "n"])
+    def test_hypergraph_mismatch_rejected(self, a_h, n_h, message):
+        # checked against a family it does not belong to, every polyad of
+        # H would read as refuted; the inputs are refused instead
+        H, _, _ = planted(a_h, n_h, 3)
+        _, F, R = planted((4, 2), 24, 3)
+        with pytest.raises(InputError, match=message):
+            check_instance_witness(H, R, F, trials=2, seed=1)
+
     def test_equitable_a1_floor(self):
         _, F, _ = planted((4,), 40, 2)
         rep = check_equitable_family(F, Fraction(1, 5), Fraction(1, 2), Fraction(0))

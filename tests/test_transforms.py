@@ -481,9 +481,8 @@ class TestPerturb:
         )
         assert moved <= int(nu * comb(30, 2))
 
-    @pytest.mark.parametrize("a,n", [((4, 2), 24), ((3, 2), 30)])
-    def test_k3_keeps_axioms(self, a, n):
-        # k = 3 only: at k >= 4 the level-3 classes above a moved set stay put
+    @pytest.mark.parametrize("a,n", [((4, 2), 24), ((3, 2), 30), ((4, 2, 2), 16)])
+    def test_keeps_axioms(self, a, n):
         for seed in range(4):
             _, F, _ = planted(a, n, seed)
             for nu in (Fraction(1, 20), Fraction(1, 5), Fraction(1, 2)):
