@@ -24,14 +24,19 @@ from .hypergraph import (
 )
 from .partitions import family_from_text, family_to_text
 from .regularity import (
-    DEFAULT_EXHAUSTIVE_CAP,
     DensityFunction,
     RegularityInstance,
     check_instance_witness,
     instance_from_text,
     instance_to_text,
 )
-from .sampling import induce_family, run_transfer_experiment, sample_vertices, stats_to_csv
+from .sampling import (
+    check_transfer_args,
+    induce_family,
+    run_transfer_experiment,
+    sample_vertices,
+    stats_to_csv,
+)
 from .transforms import (
     PlantSpec,
     equalize,
@@ -96,10 +101,7 @@ def cmd_check(args) -> int:
     H = kgraph_from_text(_read(args.hypergraph))
     R = instance_from_text(_read(args.instance))
     F = family_from_text(_read(args.family))
-    report = check_instance_witness(
-        H, R, F, trials=args.trials, seed=args.seed,
-        exhaustive_cap=args.exhaustive_cap,
-    )
+    report = check_instance_witness(H, R, F, trials=args.trials, seed=args.seed)
     for f in report.failures:
         print(f)
     print(f"witness {'pass' if report.ok else 'fail'} "
@@ -194,11 +196,15 @@ def cmd_sample(args) -> int:
 
 def cmd_experiment(args) -> int:
     R = instance_from_text(_read(args.instance))
-    stats = run_transfer_experiment(
-        R, args.n, args.q, _fraction(args.delta), args.trials, args.seed,
-    )
-    _write(args.out, stats_to_csv(stats))
-    print(f"q1_rate {stats.q1_rate()} q2_rate {stats.q2_rate()}")
+    qs, delta = _int_vector(args.q), _fraction(args.delta)
+    for q in qs:  # every q is checked before the first trial runs
+        check_transfer_args(R, args.n, q, delta, args.trials)
+    print("q,q1_rate,q2_rate")
+    for q in qs:
+        # one seed for every q: each q sees the same plantings
+        stats = run_transfer_experiment(R, args.n, q, delta, args.trials, args.seed)
+        _write(f"{args.out}.q{q}.csv", stats_to_csv(stats))
+        print(f"{q},{stats.q1_rate()},{stats.q2_rate()}")
     return 0
 
 
@@ -233,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--family", required=True)
     p.add_argument("--trials", type=int, default=40)
-    p.add_argument("--exhaustive-cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP)
     seeded(p)
     p.set_defaults(func=cmd_check)
 
@@ -286,13 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
     seeded(p)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("experiment", help="transfer experiment statistics")
+    p = sub.add_parser("experiment", help="transfer experiment over sample sizes")
     p.add_argument("--instance", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", required=True, help="comma-separated sample sizes, e.g. 50,100")
     p.add_argument("--delta", required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="output path prefix: {out}.q{q}.csv")
     seeded(p)
     p.set_defaults(func=cmd_experiment)
     return top

@@ -21,12 +21,12 @@ from .hypergraph import (
     KGraph,
     _class_index,
     _induced_hits,
+    _lex_crossing_sets,
     _require_distinct,
     _triple_census,
     automorphism_count,
     cliques,
     count_induced,
-    crossing_sets,
 )
 from .partitions import PartitionFamily
 from .regularity import DensityFunction, RegularityInstance
@@ -219,9 +219,6 @@ def verify_counting_lemma(C, d_vec, gamma, p_top=None) -> CheckReport:
     )
 
 
-CROSSING_SCAN_CAP = 600_000
-
-
 def _crossing_triple_census(H: KGraph, classes):
     """Induced-triple counts (by edge count 0..3) over crossing triples of a
     2-graph; on three vertices the isomorphism class is the edge count."""
@@ -262,11 +259,8 @@ def count_crossing_induced(F: KGraph, H: KGraph, vertex_classes):
     if H.k == 2 and ell == 3:
         census = _crossing_triple_census(H, classes)
         return census[len(F.edges)], total
-    if total > CROSSING_SCAN_CAP:
-        raise CapabilityError(
-            f"{total} crossing sets exceed the scan cap {CROSSING_SCAN_CAP}"
-        )
-    return _induced_hits(F, H, crossing_sets(classes, ell)), total
+    crossing = _lex_crossing_sets([sorted(c) for c in classes if c], ell)
+    return _induced_hits(F, H, crossing, total), total
 
 
 def verify_ic_vs_pr(

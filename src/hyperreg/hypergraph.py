@@ -12,7 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 from operator import itemgetter, lt
 
 from .errors import CapabilityError, InputError
@@ -20,6 +20,10 @@ from .errors import CapabilityError, InputError
 Edge = tuple  # strictly sorted tuple of vertex ids
 
 DEFAULT_PATTERN_CAP = 8  # largest pattern order for isomorphism scans
+INDUCED_SCAN_CAP = 600_000  # vertex sets per induced-copy scan, 3-6 µs each
+# graphs times relabellings that all_iso_classes canonicalises: (5, 2) and
+# (5, 3) take about 0.5 s, and (6, 2) would take minutes
+ISO_CLASS_WORK_CAP = 2**10 * factorial(5)
 
 
 def _canon_edge(e) -> Edge:
@@ -289,6 +293,13 @@ def canonical_form(F: KGraph) -> KGraph:
 
 def all_iso_classes(ell: int, k: int) -> list:
     """One representative per isomorphism class of k-graphs on ell vertices."""
+    # above DEFAULT_PATTERN_CAP the work cap refuses anyway; testing that
+    # first keeps 2^C(ell, k) from growing huge
+    if ell > DEFAULT_PATTERN_CAP or 2 ** comb(ell, k) * factorial(ell) > ISO_CLASS_WORK_CAP:
+        raise CapabilityError(
+            f"iso classes on {ell} vertices for k={k}: 2^{comb(ell, k)} graphs "
+            f"times {ell}! relabellings exceed the cap 2^10 times 5!"
+        )
     slots = list(itertools.combinations(range(ell), k))
     seen = {}
     for r in range(len(slots) + 1):
@@ -325,12 +336,16 @@ def _count_induced_triples_2graph(H: KGraph):
     return _triple_census(comb(n, 3), len(H.edges) * (n - 2), wedges, triangles)
 
 
-def _induced_hits(F: KGraph, H: KGraph, vertex_sets) -> int:
-    """How many of vertex_sets, each an ascending tuple, induce a copy of F
-    in H.
+def _induced_hits(F: KGraph, H: KGraph, vertex_sets, total: int) -> int:
+    """How many of vertex_sets, an iterable of `total` ascending tuples,
+    induce a copy of F in H; refuses more than INDUCED_SCAN_CAP sets.
 
     H[S] is read from the C(ell, k) slots of S, relabelled by ascending
     vertex id as in induce, and matched by canonical form."""
+    if total > INDUCED_SCAN_CAP:
+        raise CapabilityError(
+            f"{total} vertex sets exceed the induced-copy scan cap {INDUCED_SCAN_CAP}"
+        )
     k, ell = F.k, F.n
     slots = list(itertools.combinations(range(ell), k))
     target = _canonical_edges(k, ell, F.edges)
@@ -361,7 +376,7 @@ def count_induced(F: KGraph, H: KGraph, allow_large: bool = False) -> Fraction:
     if H.k == 2 and ell == 3:
         # each edge count 0..3 names exactly one class of 3-vertex 2-graphs
         return Fraction(_count_induced_triples_2graph(H)[len(F.edges)], total)
-    hits = _induced_hits(F, H, itertools.combinations(range(H.n), ell))
+    hits = _induced_hits(F, H, itertools.combinations(range(H.n), ell), total)
     return Fraction(hits, total)
 
 

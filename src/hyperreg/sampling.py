@@ -119,7 +119,12 @@ class TrialRecord:
     q1_pass: bool
     q2_pass: bool
     measured_lambda: Fraction
-    worst_deviation: Fraction
+    q1_deviation: Fraction
+    q2_deviation: Fraction  # the larger of the two Q2 checks'
+
+    @property
+    def worst_deviation(self) -> Fraction:
+        return max(self.q1_deviation, self.q2_deviation)
 
 
 @dataclass
@@ -138,15 +143,8 @@ class TransferStats:
         return Fraction(self.q2_pass, self.trials) if self.trials else Fraction(0)
 
 
-def run_transfer_experiment(
-    R: RegularityInstance, n: int, q: int, delta, trials: int, seed,
-    *, check_trials: int = 12,
-) -> TransferStats:
-    """Per trial: plant (H, F) for R on n vertices, sample Q; (Q1) check the
-    induced-and-equalized family as a witness that H[Q] satisfies the same
-    instance at epsilon0 + delta; (Q2) check a fresh planting at sample
-    scale against an independent full-scale planting of the same densities."""
-    delta = Fraction(delta)
+def check_transfer_args(R: RegularityInstance, n: int, q: int, delta, trials: int):
+    """Raise InputError unless run_transfer_experiment accepts these."""
     if trials < 1:
         raise InputError(f"trials {trials} must be >= 1")
     if delta < 0:
@@ -156,6 +154,18 @@ def run_transfer_experiment(
         raise InputError(f"n={n} below a1*k={lo}")
     if not lo <= q <= n:
         raise InputError(f"q={q} outside [a1*k={lo}, n={n}]")
+
+
+def run_transfer_experiment(
+    R: RegularityInstance, n: int, q: int, delta, trials: int, seed,
+    *, check_trials: int = 12,
+) -> TransferStats:
+    """Per trial: plant (H, F) for R on n vertices, sample Q; (Q1) check the
+    induced-and-equalized family as a witness that H[Q] satisfies the same
+    instance at epsilon0 + delta; (Q2) check a fresh planting at sample
+    scale against an independent full-scale planting of the same densities."""
+    delta = Fraction(delta)
+    check_transfer_args(R, n, q, delta, trials)
     relaxed_R = RegularityInstance(min(R.epsilon + delta, Fraction(1)), R.a, R.d)
     q1 = q2 = 0
     records = []
@@ -188,9 +198,8 @@ def run_transfer_experiment(
         q2 += q2_ok
         records.append(
             TrialRecord(
-                t, t_seed, v1.ok, q2_ok, lam,
-                max(v1.worst_deviation, v2_small.worst_deviation,
-                    v2_big.worst_deviation),
+                t, t_seed, v1.ok, q2_ok, lam, v1.worst_deviation,
+                max(v2_small.worst_deviation, v2_big.worst_deviation),
             )
         )
     return TransferStats(trials, q1, q2, delta, R.epsilon, records)
@@ -199,12 +208,10 @@ def run_transfer_experiment(
 def stats_to_csv(stats: TransferStats) -> str:
     lines = ["trial,direction,pass,lambda,worst_deviation"]
     for r in stats.records:
-        lines.append(
-            f"{r.trial},Q1,{int(r.q1_pass)},{float(r.measured_lambda):.6f},"
-            f"{float(r.worst_deviation):.6f}"
-        )
-        lines.append(
-            f"{r.trial},Q2,{int(r.q2_pass)},{float(r.measured_lambda):.6f},"
-            f"{float(r.worst_deviation):.6f}"
-        )
+        for name, ok, dev in (("Q1", r.q1_pass, r.q1_deviation),
+                              ("Q2", r.q2_pass, r.q2_deviation)):
+            lines.append(
+                f"{r.trial},{name},{int(ok)},{float(r.measured_lambda):.6f},"
+                f"{float(dev):.6f}"
+            )
     return "\n".join(lines) + "\n"

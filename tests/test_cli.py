@@ -1,11 +1,16 @@
 import io
 import re
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from hyperreg import (
+    DensityFunction,
+    KGraph,
+    RegularityInstance,
     family_from_text,
     family_to_text,
     instance_from_text,
@@ -369,6 +374,28 @@ class TestCount:
         assert code == 2
         assert err.startswith("error: ") and "exceeds a1=3" in err, err
 
+    def test_all_classes_above_work_cap_rejected(self, tmp_path):
+        # a1 = 7 admits --all-classes 7, whose 2^21 graphs times 7!
+        # relabellings would take days
+        ri = tmp_path / "a7.ri"
+        ri.write_text(instance_to_text(RegularityInstance(
+            Fraction(1, 10), (7,), DensityFunction.constant((7,), Fraction(1, 2)))))
+        t0 = time.perf_counter()
+        code, _, err = run(["count", "--ic", "--instance", str(ri), "--all-classes", "7"])
+        assert code == 2 and time.perf_counter() - t0 < 1
+        assert err.startswith("error: iso classes on 7 vertices"), err
+
+    def test_pattern_scan_above_cap_rejected(self, tmp_path):
+        # C(200, 4) vertex sets would take minutes at 3-6 µs each
+        pat, host = tmp_path / "path.hg", tmp_path / "host.hg"
+        pat.write_text(kgraph_to_text(KGraph(2, 4, {(0, 1), (1, 2), (2, 3)})))
+        host.write_text(kgraph_to_text(KGraph(2, 200, {(0, 1)})))
+        t0 = time.perf_counter()
+        code, _, err = run(["count", "--pattern", str(pat), "--hypergraph", str(host)])
+        assert code == 2 and time.perf_counter() - t0 < 1
+        assert err == ("error: 64684950 vertex sets exceed the induced-copy "
+                       "scan cap 600000\n"), err
+
     @pytest.mark.parametrize("ell", ["0", "-1"])
     def test_all_classes_below_one_rejected(self, gen_prefix, ell):
         code, _, err = run([
@@ -473,35 +500,58 @@ class TestWrittenFamiliesParse:
 
 class TestExperimentCommand:
     def test_runs_and_writes_csv(self, gen_prefix, tmp_path):
-        csv = str(tmp_path / "stats.csv")
+        out_prefix = str(tmp_path / "stats")
         code, out, err = run([
             "experiment", "--instance", gen_prefix + ".ri",
             "--n", "120", "--q", "60", "--delta", "3/10",
-            "--trials", "2", "--seed", "31", "--out", csv,
+            "--trials", "2", "--seed", "31", "--out", out_prefix,
         ])
         assert code == 0, err
-        assert out.startswith("q1_rate ")
-        lines = Path(csv).read_text().strip().split("\n")
+        assert out.startswith("q,q1_rate,q2_rate\n60,")
+        lines = Path(out_prefix + ".q60.csv").read_text().strip().split("\n")
         assert lines[0] == "trial,direction,pass,lambda,worst_deviation"
         assert len(lines) == 5
+
+    def test_sweep_writes_one_csv_per_q(self, gen_prefix, tmp_path):
+        # one seed for the whole sweep: each q's CSV and rates are those of
+        # a run at that q alone
+        def experiment(q, name):
+            code, out, err = run([
+                "experiment", "--instance", gen_prefix + ".ri", "--n", "120",
+                "--q", q, "--delta", "3/10", "--trials", "2", "--seed", "31",
+                "--out", str(tmp_path / name),
+            ])
+            assert code == 0, err
+            return out.splitlines()
+
+        sweep = experiment("30,60", "sweep")
+        alone = [experiment(q, f"q{q}") for q in ("30", "60")]
+        assert sweep == ["q,q1_rate,q2_rate", alone[0][1], alone[1][1]]
+        assert re.fullmatch(r"60,\d+(/\d+)?,\d+(/\d+)?", sweep[2])
+        for q in ("30", "60"):
+            assert ((tmp_path / f"sweep.q{q}.csv").read_text()
+                    == (tmp_path / f"q{q}.q{q}.csv").read_text())
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("sweep")) \
+            == ["sweep.q30.csv", "sweep.q60.csv"]
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--q", "0", "q=0 outside [a1*k=6, n=120]"),
         ("--q", "121", "q=121 outside [a1*k=6, n=120]"),
+        ("--q", "60,0", "q=0 outside [a1*k=6, n=120]"),
+        ("--q", "60,x", "bad integer vector '60,x'"),
         ("--delta", "-1", "delta -1 must be >= 0"),
         ("--trials", "0", "trials 0 must be >= 1"),
-    ], ids=["q-low", "q-high", "delta", "trials"])
+    ], ids=["q-low", "q-high", "q-list", "q-garbage", "delta", "trials"])
     def test_bad_arguments_exit_2(self, gen_prefix, tmp_path, flag, value, message):
         argv = {"--n": "120", "--q": "60", "--delta": "3/10", "--trials": "2"}
         argv[flag] = value
-        csv = tmp_path / "stats.csv"
         code, out, err = run(
             ["experiment", "--instance", gen_prefix + ".ri", "--seed", "31",
-             "--out", str(csv)] + [x for kv in argv.items() for x in kv]
+             "--out", str(tmp_path / "stats")] + [x for kv in argv.items() for x in kv]
         )
         assert code == 2 and out == ""
         assert err == f"error: {message}\n", err
-        assert not csv.exists()
+        assert not list(tmp_path.glob("stats*"))
 
 
 class TestSeedDiscipline:

@@ -226,6 +226,20 @@ class TestSigmaInduced:
                     direct += 1
             assert total == cached_automorphism_count(F) * direct
 
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_k3_labelled_patterns_sum_to_supported_tuples(self, seed):
+        # every product tuple whose pairs all lie in layer 2 induces exactly
+        # one labelled 3-graph on four vertices; the other tuples none
+        C = random_k3_complex(4, 2, 0.8, seed)
+        slots = list(itertools.combinations(range(4), 3))
+        total = sum(
+            count_sigma_induced(KGraph(3, 4, frozenset(chosen)), C, (0, 1, 2, 3))
+            for r in range(len(slots) + 1)
+            for chosen in itertools.combinations(slots, r)
+        )
+        supported = len(cliques(C.layers[2], 4))
+        assert total == supported and 0 < supported < 2**4
+
 
 class TestCountingLemma:
     def test_complete_ratio_one(self):

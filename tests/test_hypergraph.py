@@ -333,6 +333,16 @@ class TestIsomorphism:
         assert len(all_iso_classes(4, 2)) == 11
         assert len(all_iso_classes(3, 3)) == 2
 
+    @pytest.mark.parametrize("ell, k", [(6, 2), (6, 3), (7, 6), (9, 9)])
+    def test_iso_classes_above_work_cap_rejected(self, ell, k):
+        # 2^C(ell, k) graphs times ell! relabellings above 2^10 times 5!
+        with pytest.raises(CapabilityError, match=f"iso classes on {ell} vertices"):
+            all_iso_classes(ell, k)
+
+    def test_iso_classes_up_to_work_cap_run(self):
+        assert len(all_iso_classes(5, 2)) == 34  # exactly the cap's work
+        assert len(all_iso_classes(6, 5)) == 7
+
 
 class TestCountInduced:
     def _naive(self, F, H):
@@ -379,6 +389,18 @@ class TestCountInduced:
     def test_pattern_cap(self):
         with pytest.raises(CapabilityError):
             count_induced(KGraph(2, 9), random_kgraph(2, 12, 0.5, 0))
+
+    @pytest.mark.parametrize("count", ["all", "crossing"])
+    def test_scan_cap_shared(self, count):
+        # C(100, 4) = 3921225 vertex sets, and five classes of 20 give
+        # 5 * 20^4 = 800000 crossing ones: both refused before scanning
+        F = KGraph(2, 4, {(0, 1)})
+        H = KGraph(2, 100)
+        with pytest.raises(CapabilityError, match="scan cap 600000"):
+            if count == "all":
+                count_induced(F, H)
+            else:
+                count_crossing_induced(F, H, [range(i, i + 20) for i in range(0, 100, 20)])
 
     def test_cap_override(self):
         val = count_induced(

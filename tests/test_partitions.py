@@ -254,6 +254,21 @@ class TestAxioms:
         rep2 = check_family_axioms(strict)
         assert any(f.startswith("(i)") for f in rep2.failures)
 
+    @pytest.mark.parametrize("n, a, classes, failure", [
+        (4, (3,), [{0, 1}, {2, 3}, set()], "(i): empty vertex class"),
+        (5, (2,), [{0, 1}, {2, 3}], "(i): vertex classes do not cover V"),
+    ], ids=["empty", "uncovered"])
+    def test_vertex_class_faults_flagged(self, n, a, classes, failure):
+        assert check_family_axioms(PartitionFamily(2, n, a, classes)).failures == [failure]
+
+    def test_label_out_of_range_flagged(self, small_planted_k3):
+        _, F, _ = small_planted_k3
+        lc = {2: dict(F.level_classes[2])}
+        x, b = next(key for key, e in sorted(lc[2].items()) if e)
+        lc[2][(x, F.a[1] + 1)] = lc[2].pop((x, b))
+        rep = check_family_axioms(PartitionFamily(F.k, F.n, F.a, F.vertex_classes, lc))
+        assert f"(v): label {F.a[1] + 1} out of range at level 2" in rep.failures
+
     def test_a1_below_k_flagged(self):
         F = PartitionFamily(3, 4, (2, 2), [frozenset({0, 1}), frozenset({2, 3})])
         rep = check_family_axioms(F)

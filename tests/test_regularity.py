@@ -290,6 +290,17 @@ class TestEquitableAndWitness:
         rep = check_equitable_family(F, Fraction(1, 5), Fraction(1, 2), Fraction(0))
         assert not rep.ok and any("(i)" in f for f in rep.failures)
 
+    def test_equitable_size_window(self):
+        # n/a1 = 2 with lambda = 1/4 admits only classes of size 2
+        lopsided = PartitionFamily(2, 6, (3,), [{0, 1, 2, 3}, {4}, {5}])
+        rep = check_equitable_family(lopsided, Fraction(1, 3), Fraction(1, 10), Fraction(1, 4))
+        assert rep.failures == [
+            f"(ii): |V_{i}|={size} outside (1±1/4)·n/a1"
+            for i, size in ((1, 4), (2, 1), (3, 1))
+        ]
+        even = PartitionFamily(2, 6, (3,), [{0, 1}, {2, 3}, {4, 5}])
+        assert check_equitable_family(even, Fraction(1, 3), Fraction(1, 10), 0).ok
+
     def test_equitable_k3_planted(self):
         _, F, _ = planted((4, 2), 24, 7)
         rep = check_equitable_family(
@@ -342,6 +353,24 @@ class TestComplexRegular:
         C = Complex((below.classes[0], below.classes[1]), {2: H})
         out = check_complex_regular(C, Fraction(1, 10), [Fraction(1, 2)])
         assert not out["ok"]
+
+    def test_three_layer_checked_over_its_pair_layer(self):
+        # complete pair layer on three classes of two; the triangles through
+        # vertex 0 are half of all triangles but all of those over vertex
+        # 0's pairs, so only the 3-layer is refuted
+        from hyperreg import Complex, crossing_sets
+        classes = (frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5}))
+        pairs = KGraph(2, 6, frozenset(crossing_sets(classes, 2)))
+        triangles = frozenset(cliques(pairs, 3))
+        full = Complex(classes, {2: pairs, 3: KGraph(3, 6, triangles)})
+        out = check_complex_regular(full, Fraction(1, 10), [1, 1])
+        assert out["ok"] and out[(3, (0, 1, 2))].mode == "exhaustive"
+        half = Complex(classes, {2: pairs, 3: KGraph(3, 6, frozenset(
+            t for t in triangles if 0 in t))})
+        out = check_complex_regular(half, Fraction(1, 10), [1, Fraction(1, 2)])
+        assert [key for key, v in out.items() if key != "ok" and not v.regular] \
+            == [(3, (0, 1, 2))]
+        assert out[(3, (0, 1, 2))].measured_density == Fraction(1, 2)
 
 
 class TestInstanceSerialization:

@@ -186,6 +186,24 @@ class TestTransferExperiment:
             assert ok in ("0", "1")
             float(lam), float(dev)
 
+    def test_rows_carry_their_own_direction_deviation(self):
+        # seed 1 at n = 60 deviates more in Q2 (0.35) than in Q1 (0.275):
+        # the Q1 row must not show Q2's deviation
+        a = (3,)
+        R = RegularityInstance(
+            Fraction(1, 10), a, DensityFunction.constant(a, Fraction(1, 2))
+        )
+        stats = run_transfer_experiment(R, 60, 30, Fraction(3, 10), 1, 1,
+                                        check_trials=6)
+        (r,) = stats.records
+        assert r.q2_deviation > r.q1_deviation
+        assert r.worst_deviation == r.q2_deviation
+        rows = [line.split(",") for line in stats_to_csv(stats).split("\n")[1:3]]
+        assert [(row[1], row[4]) for row in rows] == [
+            ("Q1", f"{float(r.q1_deviation):.6f}"),
+            ("Q2", f"{float(r.q2_deviation):.6f}"),
+        ]
+
     def test_deterministic(self):
         a = (3,)
         R = RegularityInstance(

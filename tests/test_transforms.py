@@ -224,6 +224,17 @@ class TestRefine:
         with pytest.raises(InputError, match="positive multiple"):
             refine_family(F, b, 0)
 
+    def test_partly_covered_polyad_rejected(self, small_planted_k3):
+        # one pair dropped from its level-2 class leaves its polyad with
+        # covered and uncovered sets, which no label block can split
+        _, F, _ = small_planted_k3
+        lc = {2: dict(F.level_classes[2])}
+        key = next(key for key, e in sorted(lc[2].items()) if e)
+        lc[2][key] -= {min(lc[2][key])}
+        G = PartitionFamily(F.k, F.n, F.a, F.vertex_classes, lc, relaxed=True)
+        with pytest.raises(InputError, match=f"polyad at {key[0].encode()} mixes covered"):
+            refine_family(G, F.a, 0)
+
     def test_deterministic(self):
         _, F, _ = planted((3, 2), 36, 8)
         assert refine_family(F, (6, 2), 5) == refine_family(F, (6, 2), 5)
