@@ -9,6 +9,7 @@ entropy anywhere.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -197,8 +198,14 @@ def cmd_sample(args) -> int:
 def cmd_experiment(args) -> int:
     R = instance_from_text(_read(args.instance))
     qs, delta = _int_vector(args.q), _fraction(args.delta)
-    for q in qs:  # every q is checked before the first trial runs
+    # every q and the output directory are checked before the first trial runs
+    if len(set(qs)) != len(qs):
+        raise InputError(f"--q {args.q} repeats a sample size")
+    for q in qs:
         check_transfer_args(R, args.n, q, delta, args.trials)
+    folder = os.path.dirname(args.out) or "."
+    if not os.path.isdir(folder):
+        raise InputError(f"output directory {folder} does not exist")
     print("q,q1_rate,q2_rate")
     for q in qs:
         # one seed for every q: each q sees the same plantings

@@ -43,8 +43,8 @@ def relative_density(Hk: KGraph, Hk1) -> Fraction:
 # ---------------------------------------------------------------------------
 # the scan: candidates Q are bitmasks over a sorted ground set, where
 # ground[i] sits at bit len(ground) - 1 - i.  A scorer returns score(mask)
-# and an exhaustive source of candidates (mask, size, hits) that reaches
-# the worst deviation.
+# and an exhaustive source of candidates (mask, size, hits) that, given the
+# least size over the floor, reaches the worst deviation.
 
 def _ground(Hk1) -> list:
     """Vertices of a vertex-class polyad, else the sub-edges of a (k-1)-graph."""
@@ -78,25 +78,30 @@ def _pair_scorer(Hk: KGraph, classes, ground):
             edges += (nbrs[low.bit_length() - 1] & mask).bit_count()
         return (mask & A).bit_count() * (mask & B).bit_count(), edges
 
-    def extremes():
-        # each nonempty S of the smaller class, and for each t the T of t
-        # other-class vertices with the most and with the fewest neighbours
-        # in S: with S and t fixed, the size |S|·t and the floor are fixed,
-        # so a top-t or bottom-t degree sum reaches the worst deviation over
-        # all masks.  The stable sorts keep degree ties in ascending bits, so
-        # each prefix is the smallest mask with its sum, which _scan keeps
+    def extremes(least):
+        # each nonempty S of the smaller class, and the T of t other-class
+        # vertices with the most and with the fewest neighbours in S, for
+        # the least t with |S|·t >= least, the floor.  With S and t fixed, a
+        # top-t or bottom-t degree sum reaches the worst deviation over all
+        # masks.  A longer prefix adds no candidate that _scan keeps: the
+        # mean degree of a top prefix cannot rise with t, nor that of a
+        # bottom prefix fall, so one of the two t prefixes deviates further,
+        # or as far and is a subset of it (README, "Regularity checking").
+        # The stable sorts keep degree ties in ascending bits, so each prefix
+        # is the smallest mask with its sum, which _scan keeps
         small, large = sorted((A, B), key=int.bit_count)
-        others = [(1 << b, nbrs[b]) for b in range(len(ground)) if large >> b & 1]
+        bits = [1 << b for b in range(len(ground)) if large >> b & 1]
+        adjs = [nbrs[b] for b in range(len(ground)) if large >> b & 1]
         S = small
         while S:
             size = S.bit_count()
-            degrees = [((S & adj).bit_count(), bit) for bit, adj in others]
-            for order in (sorted(degrees, key=lambda e: -e[0]), sorted(degrees)):
-                mask, hits = S, 0
-                for t, (deg, bit) in enumerate(order, 1):
-                    mask |= bit
-                    hits += deg
-                    yield mask, size * t, hits
+            t = max(1, -(-least // size))
+            if t <= len(bits):
+                degree = [(S & adj).bit_count() for adj in adjs].__getitem__
+                for reverse in (True, False):
+                    prefix = sorted(range(len(bits)), key=degree, reverse=reverse)[:t]
+                    yield (S | sum(map(bits.__getitem__, prefix)), size * t,
+                           sum(map(degree, prefix)))
             S = (S - 1) & small
 
     return score, extremes
@@ -135,7 +140,7 @@ def _clique_scorer(Hk: KGraph, Hk1: KGraph, ground):
         inside = every & ~out
         return inside.bit_count(), (inside & edge_bits).bit_count()
 
-    def walk():
+    def walk(least):  # every mask, whatever the floor
         flip = {1 << b: [] for b in range(len(ground))}  # the cliques at each bit
         for c, kset in enumerate(listed):
             for sub in itertools.combinations(kset, Hk1.k):
@@ -204,7 +209,8 @@ def _scan(Hk, Hk1, ground, eps, d, source, mode, certified) -> RegularityVerdict
     def scored(mask):
         return full_score if mask == full else score(mask)
 
-    for mask, size, hits in source(scored, exhaustive):
+    # the exhaustive source is told the least size over the floor
+    for mask, size, hits in source(scored, lambda: exhaustive(-(-floor // eps_den))):
         if not size or size * eps_den < floor:
             continue
         num = abs(hits * d_den - d_num * size)

@@ -163,6 +163,10 @@ def slice(Hk: KGraph, Hk1, d, eps, probs, seed, *,
     if any(p < 0 for p in probs) or sum(probs) > 1:
         raise InputError(f"probabilities {probs} are not sub-stochastic")
     d, eps = Fraction(d), Fraction(eps)
+    if not 0 <= d <= 1:
+        raise InputError(f"density {d} outside [0, 1]")
+    if not 0 < eps <= 1:
+        raise InputError(f"epsilon {eps} outside (0, 1]")
     base = sorted(Hk.edges)
     last_fail = None
     for attempt in range(SLICE_ATTEMPTS):

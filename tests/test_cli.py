@@ -457,6 +457,22 @@ class TestTransformCommands:
         assert code == 2
         assert err.startswith("error: ") and "names no top-level polyad" in err, err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--d", "2", "density 2 outside [0, 1]"),
+        ("--epsilon", "0", "epsilon 0 outside (0, 1]"),
+    ])
+    def test_slice_out_of_range_rejected(self, gen_prefix, tmp_path, flag, value, message):
+        argv = {"--d": "1/2", "--epsilon": "1/10"}
+        argv[flag] = value
+        code, out, err = run([
+            "slice", "--hypergraph", gen_prefix + ".hg", "--family", gen_prefix + ".pf",
+            "--address", "1,2", "--probs", "1/2,1/2", "--seed", "9",
+            "--out", str(tmp_path / "sl"),
+        ] + [x for kv in argv.items() for x in kv])
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n", err
+        assert not list(tmp_path.glob("sl*"))
+
     def test_refine_below_shape_rejected(self, gen_prefix, tmp_path):
         code, _, err = run([
             "refine", "--family", gen_prefix + ".pf", "--b", "0",
@@ -551,6 +567,27 @@ class TestExperimentCommand:
         )
         assert code == 2 and out == ""
         assert err == f"error: {message}\n", err
+        assert not list(tmp_path.glob("stats*"))
+
+    @pytest.mark.parametrize("q, out, message", [
+        ("60", "missing/stats", "output directory {tmp}/missing does not exist"),
+        ("45,45", "stats", "--q 45,45 repeats a sample size"),
+    ], ids=["missing-dir", "repeated-q"])
+    def test_rejected_before_the_first_trial(self, gen_prefix, tmp_path, monkeypatch,
+                                             q, out, message):
+        from hyperreg import cli
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "run_transfer_experiment", refused)
+        code, stdout, err = run([
+            "experiment", "--instance", gen_prefix + ".ri", "--n", "120", "--q", q,
+            "--delta", "3/10", "--trials", "2", "--seed", "31",
+            "--out", str(tmp_path / out),
+        ])
+        assert code == 2 and stdout == ""
+        assert err == f"error: {message.format(tmp=tmp_path)}\n", err
         assert not list(tmp_path.glob("stats*"))
 
 

@@ -639,7 +639,7 @@ class TestGrayWalk:
                 unused |= any(not any(set(g) <= set(c) for c in kk) for g in ground)
                 binary = [(m, *score(m)) for m in range(1 << len(ground))]
                 visited = set()
-                for mask, size, hits in walk():
+                for mask, size, hits in walk(0):
                     assert binary[mask] == (mask, size, hits)
                     visited.add(mask)
                 assert len(visited) == len(binary) - 1 and 0 not in visited
@@ -700,6 +700,63 @@ class TestTwoClassSource:
                 got = check_regular_exhaustive(H, below, eps, d)
                 assert got == want, (sorted(A), sorted(B), sorted(H.edges), eps, d)
         assert inside >= 30
+
+    @pytest.mark.parametrize("small, large, p, eps", [
+        (3, 5, Fraction(1, 2), Fraction(1)),  # only S = the smaller class, t = |B|
+        (3, 5, Fraction(1, 2), Fraction(1, 15)),  # least = 1: t = 1 for every S
+        (3, 5, Fraction(1, 2), Fraction(1, 100)),  # least = 1 from a ceiling
+        (3, 5, Fraction(1, 2), Fraction(0)),  # least = 0: still t = 1
+        (1, 6, Fraction(1, 2), Fraction(1, 4)),  # a one-vertex class
+        (1, 6, Fraction(1, 2), Fraction(1)),
+        (4, 4, 0, Fraction(1, 8)),  # empty: all degrees tie
+        (4, 4, 1, Fraction(1, 3)),  # complete: all degrees tie
+        (4, 4, Fraction(1, 2), Fraction(1, 2)),  # |S| = 1 gives 4 < least = 8
+        (5, 6, Fraction(1, 2), Fraction(7, 10)),  # t0 = |B| for |S| = 4
+    ])
+    def test_floor_boundaries_match_binary_counting(self, small, large, p, eps):
+        import random
+        from hyperreg.regularity import _ground, _pair_scorer, _scan
+        rng = random.Random(25)
+        n = small + large
+        verts = rng.sample(range(n), n)
+        below = VertexClassGraph((frozenset(verts[small:]), frozenset(verts[:small])))
+        H = KGraph(2, n, frozenset(
+            e for e in itertools.combinations(range(n), 2) if rng.random() < p
+        ))
+        ground = _ground(below)
+        score, _ = _pair_scorer(H, below.classes, ground)
+        binary = [(m, *score(m)) for m in range(1 << n)]
+        for d in (0, Fraction(1, 3), Fraction(1, 2), 1):
+            want = _scan(H, below, ground, eps, d, lambda *_: binary, "exhaustive", True)
+            assert check_regular_exhaustive(H, below, eps, d) == want, d
+
+    def test_two_candidates_per_set_at_the_least_size(self):
+        # each nonempty S of the smaller class yields two candidates of
+        # size |S|·t0, t0 = ceil(least/|S|), or none when t0 > |B|
+        from math import ceil
+        from hyperreg.regularity import _ground, _pair_scorer
+        for H, below in _two_class_instances():
+            ground = _ground(below)
+            top = len(ground) - 1
+            small, large = sorted(
+                (sum(1 << (top - ground.index(v)) for v in c) for c in below.classes),
+                key=int.bit_count,
+            )
+            score, source = _pair_scorer(H, below.classes, ground)
+            total = score((1 << len(ground)) - 1)[0]
+            for least in (0, 1, total // 3, total):
+                per_set = {}
+                for mask, size, hits in source(least):
+                    assert (mask & large).bit_count() * (mask & small).bit_count() == size
+                    assert score(mask) == (size, hits)
+                    per_set.setdefault(mask & small, []).append(size)
+                S = small
+                while S:
+                    t0 = max(1, ceil(least / S.bit_count()))
+                    want = [S.bit_count() * t0] * 2 if t0 <= large.bit_count() else []
+                    assert per_set.pop(S, []) == want, (least, bin(S))
+                    S = (S - 1) & small
+                assert not per_set
 
     def test_smallest_mask_over_the_floor_wins(self):
         # empty 2-graph on 4 + 4 vertices at d = 0: every candidate deviates

@@ -131,6 +131,26 @@ class TestSlice:
             slice(H, F.polyad(x), Fraction(1, 2), Fraction(1, 10),
                   [Fraction(2, 3), Fraction(2, 3)], 0)
 
+    @pytest.mark.parametrize("d, eps, message", [
+        (2, Fraction(1, 10), "density 2 outside"),
+        (-1, Fraction(1, 10), "density -1 outside"),
+        (Fraction(1, 2), 0, "epsilon 0 outside"),
+        (Fraction(1, 2), Fraction(11, 10), "epsilon 11/10 outside"),
+    ])
+    def test_out_of_range_d_or_eps_rejected_before_any_attempt(
+        self, small_planted_k2, monkeypatch, d, eps, message
+    ):
+        from hyperreg import transforms
+
+        def refused(*args):
+            raise AssertionError("slice drew an attempt")
+
+        H, F, _ = small_planted_k2
+        x = F.class_addresses(2)[0]
+        monkeypatch.setattr(transforms, "_assign_classes", refused)
+        with pytest.raises(InputError, match=message):
+            slice(H, F.polyad(x), d, eps, [Fraction(1, 2)], 0)
+
     def test_impossible_recheck_raises_construction_error(self):
         # densities far from the requested p*d at tiny epsilon cannot pass
         H, F, R = planted((3,), 60, 2)
