@@ -11,12 +11,10 @@ from .hypergraph import (
     KGraph,
     cliques,
     count_induced,
-    count_induced_family,
     crossing_sets,
     induce,
     kgraph_from_text,
     kgraph_to_text,
-    sym_diff_distance,
 )
 from .partitions import (
     AxiomReport,
@@ -39,7 +37,6 @@ from .regularity import (
     check_instance_witness,
     check_regular_exhaustive,
     check_regular_sampled,
-    density_distance,
     instance_from_text,
     instance_to_text,
     relative_density,

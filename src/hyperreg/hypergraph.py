@@ -104,9 +104,10 @@ class KGraph:
         return sum(1 for e in self.edges if v in e)
 
     def adjacency_masks(self) -> tuple:
-        """For k=2 only: per-vertex neighbour bitmasks (int bitsets), built on
-        the first call and cached outside the fields, so eq, hash and repr
-        ignore them."""
+        """For k=2 only: per-vertex neighbour bitmasks, vertex v at bit v,
+        built on the first call and cached outside the fields, so eq, hash
+        and repr ignore them.  Read by regularity's pair scorer, the triple
+        census, sampling._edges_inside and counting's crossing census."""
         if self.k != 2:
             raise InputError("adjacency_masks is a 2-graph helper")
         if "_adj" not in self.__dict__:
@@ -234,12 +235,6 @@ def induce(H: KGraph, Q) -> KGraph:
         tuple(relabel[v] for v in e) for e in H.edges if qset.issuperset(e)
     )
     return KGraph(H.k, len(Q), new_edges)
-
-
-def sym_diff_distance(G: KGraph, H: KGraph) -> int:
-    if G.n != H.n or G.k != H.k:
-        raise InputError("distance needs equal vertex count and uniformity")
-    return len(G.edges ^ H.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -387,15 +382,6 @@ def _require_distinct(family) -> list:
         if are_induced_isomorphic(A, B):
             raise InputError("family contains isomorphic duplicates")
     return members
-
-
-def count_induced_family(family, H: KGraph, allow_large: bool = False) -> Fraction:
-    """Pr(F, H) summed over a family of pairwise non-isomorphic patterns."""
-    members = _require_distinct(family)
-    return sum(
-        (count_induced(F, H, allow_large=allow_large) for F in members),
-        Fraction(0),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Relative density, (eps, d)-regularity checking, equitable families,
-regularity instances, and the density-function metric.
+"""Relative density, (eps, d)-regularity checking, equitable families and
+regularity instances.
 
 All verdict arithmetic is exact rational; the sampled checker is one-sided
 (it can refute regularity with a concrete witness but never certifies it).
@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
 
 from .addresses import AddressVector, address_space, address_space_size, in_address_space
 from .errors import CapabilityError, InputError
@@ -41,10 +40,11 @@ def relative_density(Hk: KGraph, Hk1) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the scan: candidates Q are bitmasks over a sorted ground set, where
-# ground[i] sits at bit len(ground) - 1 - i.  A scorer returns score(mask)
-# and an exhaustive source of candidates (mask, size, hits) that, given the
-# least size over the floor, reaches the worst deviation.
+# the scan: candidates Q are bitmasks over a sorted ground set.  Vertex v
+# of a vertex-class polyad sits at bit v, and sub-edge ground[i] at bit i;
+# either way ground order is ascending bit order.  A scorer returns
+# score(mask) and an exhaustive source of candidates (mask, size, hits)
+# that, given the least size over the floor, reaches the worst deviation.
 
 def _ground(Hk1) -> list:
     """Vertices of a vertex-class polyad, else the sub-edges of a (k-1)-graph."""
@@ -53,30 +53,24 @@ def _ground(Hk1) -> list:
     return sorted(Hk1.edges)
 
 
-def _pair_scorer(Hk: KGraph, classes, ground):
+def _pair_scorer(Hk: KGraph, classes):
     """k = 2 over two vertex classes A and B: (crossing pairs, edges)
     inside a vertex mask, and the smaller-class source."""
     if Hk.k != 2:
         raise InputError("a vertex-class polyad scores 2-graphs only")
-    cls = _class_index(classes)
+    _class_index(classes, Hk.n)
     if len(classes) != 2:
         raise InputError(f"a vertex-class polyad has two classes, not {len(classes)}")
-    top = len(ground) - 1
-    pos = {v: top - i for i, v in enumerate(ground)}  # vertex -> bit position
-    A, B = (sum(1 << pos[v] for v in c) for c in classes)
-    nbrs = [0] * len(ground)  # the other-class neighbours of each bit
-    for u, v in Hk.edges:
-        if u in cls and v in cls and cls[u] != cls[v]:
-            nbrs[pos[u]] |= 1 << pos[v]
-            nbrs[pos[v]] |= 1 << pos[u]
+    adj = Hk.adjacency_masks()
+    A, B = (sum(1 << v for v in c) for c in classes)
 
     def score(mask):
-        edges, rest = 0, mask & A
+        edges, rest, other = 0, mask & A, mask & B
         while rest:
             low = rest & -rest
             rest ^= low
-            edges += (nbrs[low.bit_length() - 1] & mask).bit_count()
-        return (mask & A).bit_count() * (mask & B).bit_count(), edges
+            edges += (adj[low.bit_length() - 1] & other).bit_count()
+        return (mask & A).bit_count() * other.bit_count(), edges
 
     def extremes(least):
         # each nonempty S of the smaller class, and the T of t other-class
@@ -87,22 +81,22 @@ def _pair_scorer(Hk: KGraph, classes, ground):
         # mean degree of a top prefix cannot rise with t, nor that of a
         # bottom prefix fall, so one of the two t prefixes deviates further,
         # or as far and is a subset of it (README, "Regularity checking").
-        # The stable sorts keep degree ties in ascending bits, so each prefix
-        # is the smallest mask with its sum, which _scan keeps
-        small, large = sorted((A, B), key=int.bit_count)
-        bits = [1 << b for b in range(len(ground)) if large >> b & 1]
-        adjs = [nbrs[b] for b in range(len(ground)) if large >> b & 1]
-        S = small
+        # The stable sorts break degree ties toward the higher vertex, so
+        # each prefix is the mask with its sum that _scan keeps
+        small, large = sorted(classes, key=len)
+        large = sorted(large, reverse=True)
+        bits, adjs = [1 << v for v in large], [adj[v] for v in large]
+        S = every = sum(1 << v for v in small)
         while S:
             size = S.bit_count()
             t = max(1, -(-least // size))
-            if t <= len(bits):
-                degree = [(S & adj).bit_count() for adj in adjs].__getitem__
+            if t <= len(large):
+                degree = [(S & a).bit_count() for a in adjs].__getitem__
                 for reverse in (True, False):
-                    prefix = sorted(range(len(bits)), key=degree, reverse=reverse)[:t]
+                    prefix = sorted(range(len(large)), key=degree, reverse=reverse)[:t]
                     yield (S | sum(map(bits.__getitem__, prefix)), size * t,
                            sum(map(degree, prefix)))
-            S = (S - 1) & small
+            S = (S - 1) & every
 
     return score, extremes
 
@@ -117,8 +111,7 @@ def _clique_scorer(Hk: KGraph, Hk1: KGraph, ground):
     Gray-code order (Gray 1953; Knuth, TAOCP 7.2.1.1): step i flips the
     lowest set bit of i.  It counts, for each clique, its sub-edges outside
     Q, so a flip touches only the cliques of the flipped sub-edge."""
-    top = len(ground) - 1
-    pos = {g: top - i for i, g in enumerate(ground)}  # sub-edge -> bit position
+    pos = {g: i for i, g in enumerate(ground)}  # sub-edge -> bit position
     inc = [0] * len(ground)
     listed = list(cliques(Hk1, Hk.k))
     every = edge_bits = 0
@@ -168,35 +161,37 @@ def _clique_scorer(Hk: KGraph, Hk1: KGraph, ground):
     return score, walk
 
 
-def _retained(size: int, trials: int, seed: int):
-    """Independent retention at each density; p = 1 keeps the full ground
-    set, which is scored once however many trials there are."""
+def _retained(bits: list, trials: int, seed: int):
+    """Independent retention at each density over the ground elements'
+    bits; p = 1 keeps the full ground set, which is scored once however
+    many trials there are."""
     for p in RETENTION_DENSITIES:
         if p == 1:
-            yield (1 << size) - 1
+            yield sum(bits)
             continue
         t = threshold(p)
         for trial in range(trials):
             draw = substream(seed, "retain", str(p), trial).random
-            # the i-th draw decides ground[i], the (size-1-i)-th bit; the
-            # leading "0" keeps an empty ground set a valid literal
-            yield int("0" + "".join("1" if draw() < t else "0" for _ in range(size)), 2)
+            yield sum(b for b in bits if draw() < t)  # the i-th draw decides ground[i]
 
 
 def _scan(Hk, Hk1, ground, eps, d, source, mode, certified) -> RegularityVerdict:
     """Score the candidates (mask, size, hits) that
-    source(score, exhaustive) yields over the floor eps*|K_k(Hk1)|; the
-    worst is of maximal deviation |hits - d*size| / size.  Among equal
-    deviations a certified scan keeps the smallest mask, in whatever order
-    its source yields them; a sampled scan keeps the first it meets.  The
-    full ground set is scored once: it gives K_k(Hk1), the measured density
-    and the floor."""
+    source(score, exhaustive, bits) yields over the floor eps*|K_k(Hk1)|,
+    where bits holds each ground element's bit; the worst is of maximal
+    deviation |hits - d*size| / size.  Among equal deviations a certified
+    scan keeps the mask that lacks the lowest bit in which two differ, in
+    whatever order its source yields them; a sampled scan keeps the first
+    it meets.  The full ground set is scored once: it gives K_k(Hk1), the
+    measured density and the floor."""
     eps, d = Fraction(eps), Fraction(d)
     if isinstance(Hk1, VertexClassGraph):
-        score, exhaustive = _pair_scorer(Hk, Hk1.classes, ground)
+        score, exhaustive = _pair_scorer(Hk, Hk1.classes)
+        bits = [1 << v for v in ground]
     else:
         score, exhaustive = _clique_scorer(Hk, Hk1, ground)
-    full = (1 << len(ground)) - 1
+        bits = [1 << i for i in range(len(ground))]
+    full = sum(bits)
     full_score = score(full)
     total, total_hits = full_score
     if not total:
@@ -210,18 +205,19 @@ def _scan(Hk, Hk1, ground, eps, d, source, mode, certified) -> RegularityVerdict
         return full_score if mask == full else score(mask)
 
     # the exhaustive source is told the least size over the floor
-    for mask, size, hits in source(scored, lambda: exhaustive(-(-floor // eps_den))):
+    for mask, size, hits in source(scored, lambda: exhaustive(-(-floor // eps_den)), bits):
         if not size or size * eps_den < floor:
             continue
         num = abs(hits * d_den - d_num * size)
         den = size * d_den
         ahead, behind = num * worst_den, worst_num * den
-        if ahead > behind or ahead == behind and certified and mask < worst_mask:
+        if ahead > behind or ahead == behind and certified and not (
+            mask & (x := mask ^ worst_mask) & -x
+        ):
             worst_num, worst_den, worst_mask = num, den, mask
     if worst_mask is None:
         return RegularityVerdict(True, dens, None, mode, certified)
-    top = len(ground) - 1
-    picked = [g for i, g in enumerate(ground) if worst_mask >> (top - i) & 1]
+    picked = [g for g, b in zip(ground, bits) if worst_mask & b]
     witness = tuple(picked) if isinstance(Hk1, VertexClassGraph) else frozenset(picked)
     dev = Fraction(worst_num, worst_den)
     return RegularityVerdict(dev <= eps, dens, (witness, dev), mode, certified)
@@ -243,7 +239,7 @@ def check_regular_exhaustive(
             "use check_regular_sampled"
         )
     return _scan(
-        Hk, Hk1, ground, eps, d, lambda _, exhaustive: exhaustive(), "exhaustive", True
+        Hk, Hk1, ground, eps, d, lambda _, exhaustive, __: exhaustive(), "exhaustive", True
     )
 
 
@@ -255,10 +251,9 @@ def check_regular_sampled(
     regular verdict is uncertified."""
     if trials < 1:
         raise InputError("trials must be >= 1")
-    ground = _ground(Hk1)
-    masks = _retained(len(ground), trials, seed)
     return _scan(
-        Hk, Hk1, ground, eps, d, lambda score, _: ((m, *score(m)) for m in masks),
+        Hk, Hk1, _ground(Hk1), eps, d,
+        lambda score, _, bits: ((m, *score(m)) for m in _retained(bits, trials, seed)),
         f"sampled({trials},{seed})", False,
     )
 
@@ -406,19 +401,6 @@ class DensityFunction:
 
     def items(self):
         return sorted(self.values.items())
-
-
-def density_distance(d1: DensityFunction, d2: DensityFunction) -> Fraction:
-    """k! · prod a_i^{-C(k,i)} · sum |d1 - d2|; always <= 1."""
-    if d1.a != d2.a:
-        raise InputError("density functions live over different shapes")
-    k = d1.k
-    scale = Fraction(factorial(k))
-    for i in range(1, k):
-        scale /= Fraction(d1.a[i - 1]) ** comb(k, i)
-    return scale * sum(
-        abs(v - d2.values[x]) for x, v in d1.values.items()
-    )
 
 
 class RegularityInstance:

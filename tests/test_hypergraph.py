@@ -16,7 +16,6 @@ from hyperreg import (
     induce,
     kgraph_from_text,
     kgraph_to_text,
-    sym_diff_distance,
 )
 from hyperreg.counting import count_crossing_induced
 from hyperreg.errors import CapabilityError
@@ -28,7 +27,6 @@ from hyperreg.hypergraph import (
     automorphism_count,
     canonical_form,
     cliques_naive,
-    count_induced_family,
 )
 from hyperreg.partitions import PartitionFamily, VertexClassGraph
 from hyperreg.regularity import check_regular_exhaustive
@@ -79,7 +77,7 @@ PARTITION_CALLERS = {
         KGraph(2, 3), KGraph(2, n), cs
     ),
 }
-RANGED = ["PartitionFamily", "count_crossing_induced"]
+RANGED = ["_pair_scorer", "PartitionFamily", "count_crossing_induced"]
 
 
 class TestVertexPartitionCheck:
@@ -284,33 +282,6 @@ class TestInduce:
             induce(KGraph(2, 3), [0, 5])
 
 
-class TestDistance:
-    def test_metric_examples(self):
-        G = KGraph(2, 4, {(0, 1)})
-        H = KGraph(2, 4, {(0, 1), (2, 3)})
-        assert sym_diff_distance(G, H) == 1
-        assert sym_diff_distance(G, G) == 0
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            sym_diff_distance(KGraph(2, 3), KGraph(2, 4))
-
-    @given(st.integers(0, 2**15 - 1), st.integers(0, 2**15 - 1), st.integers(0, 2**15 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_triangle_inequality(self, x, y, z):
-        slots = list(itertools.combinations(range(6), 2))
-
-        def graph(bits):
-            return KGraph(2, 6, frozenset(
-                s for i, s in enumerate(slots) if bits >> i & 1
-            ))
-
-        a, b, c = graph(x), graph(y), graph(z)
-        assert sym_diff_distance(a, c) <= (
-            sym_diff_distance(a, b) + sym_diff_distance(b, c)
-        )
-
-
 class TestIsomorphism:
     def test_triangle_path_distinct(self):
         tri = KGraph(2, 3, {(0, 1), (0, 2), (1, 2)})
@@ -375,16 +346,6 @@ class TestCountInduced:
         H = random_kgraph(2, 10, 0.4, 12)
         total = sum(count_induced(F, H) for F in all_iso_classes(3, 2))
         assert total == 1
-
-    def test_family_over_all_classes_is_one(self):
-        H = random_kgraph(2, 10, 0.4, 12)
-        assert count_induced_family(all_iso_classes(3, 2), H) == 1
-
-    def test_family_with_duplicate_rejected(self):
-        path = KGraph(2, 3, {(0, 1), (1, 2)})
-        same = KGraph(2, 3, {(0, 2), (1, 2)})
-        with pytest.raises(InputError, match="isomorphic duplicates"):
-            count_induced_family([path, same], random_kgraph(2, 6, 0.5, 1))
 
     def test_pattern_cap(self):
         with pytest.raises(CapabilityError):

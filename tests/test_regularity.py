@@ -3,8 +3,6 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hyperreg import (
     DensityFunction,
@@ -17,7 +15,6 @@ from hyperreg import (
     check_regular_exhaustive,
     check_regular_sampled,
     cliques,
-    density_distance,
     instance_from_text,
     instance_to_text,
     relative_density,
@@ -194,42 +191,6 @@ class TestRegularityLaws:
                 continue
             union = KGraph(2, H.n, H.edges | comp.edges)
             assert check_regular_exhaustive(union, below, 2 * eps, d + dc).regular
-
-
-class TestDensityDistance:
-    def test_identity(self):
-        d = DensityFunction.constant((3,), Fraction(1, 2))
-        assert density_distance(d, d) == 0
-
-    def test_hand_value(self):
-        d1 = DensityFunction.constant((3,), 1)
-        d0 = DensityFunction.constant((3,), 0)
-        assert density_distance(d1, d0) == Fraction(2, 3)
-
-    def test_bounded_by_one(self):
-        import random
-        rng = random.Random(8)
-        from hyperreg.addresses import address_space
-        for a in [(3,), (4, 2), (3, 3)]:
-            k = len(a) + 1
-            space = address_space(k, k - 1, a)
-            d1 = DensityFunction(a, {x: Fraction(rng.randrange(11), 10) for x in space})
-            d2 = DensityFunction(a, {x: Fraction(rng.randrange(11), 10) for x in space})
-            assert density_distance(d1, d2) <= 1
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            density_distance(
-                DensityFunction.constant((3,), 0), DensityFunction.constant((4,), 0)
-            )
-
-    @given(st.integers(0, 10), st.integers(0, 10), st.integers(0, 10))
-    @settings(max_examples=30, deadline=None)
-    def test_triangle_inequality(self, x, y, z):
-        ds = [DensityFunction.constant((3,), Fraction(v, 10)) for v in (x, y, z)]
-        assert density_distance(ds[0], ds[2]) <= (
-            density_distance(ds[0], ds[1]) + density_distance(ds[1], ds[2])
-        )
 
 
 class TestEquitableAndWitness:
@@ -534,20 +495,52 @@ class TestScanOracle:
 
     def test_first_maximal_candidate_wins_ties(self):
         # two disjoint triangles below, both edges above: every nonempty
-        # candidate deviates by 1 at d = 0, so the smallest mask wins, the
-        # first in counting order
+        # candidate deviates by 1 at d = 0, so the least indicator vector in
+        # ground order wins: the one that lacks the first triangle
         below = KGraph(2, 6, {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)})
         H = KGraph(3, 6, {(0, 1, 2), (3, 4, 5)})
         v = check_regular_exhaustive(H, below, Fraction(1, 2), 0)
         assert v.worst_witness == (frozenset({(3, 4), (3, 5), (4, 5)}), 1)
 
 
-def _rescored(Hk, Hk1, ground, mask):
-    """(|K_k(Q)|, edges of Hk in K_k(Q)) with Q re-read from the mask and
-    its cliques re-enumerated; ground[i] sits at bit len(ground) - 1 - i."""
-    top = len(ground) - 1
-    chosen = frozenset(g for i, g in enumerate(ground) if mask >> (top - i) & 1)
-    kq = cliques(KGraph(Hk1.k, Hk1.n, chosen), Hk.k)
+def _scan_bits(below, ground):
+    """The scan's bit of each ground element: vertex v of a vertex-class
+    polyad at bit v, sub-edge ground[i] at bit i."""
+    if isinstance(below, VertexClassGraph):
+        return [1 << v for v in ground]
+    return [1 << i for i in range(len(ground))]
+
+
+def _subsets(ground, bits):
+    """(subset, mask) for every subset of the ground, in ascending order of
+    its indicator vector in ground order, the mask through the scan's bits."""
+    for keep in itertools.product((0, 1), repeat=len(ground)):
+        yield list(itertools.compress(ground, keep)), sum(itertools.compress(bits, keep))
+
+
+def _least_worst(below, rows, eps, d):
+    """The exhaustive verdict over rows (subset, size, hits), one per
+    subset in _subsets order: among the maximal deviations over the floor
+    eps*|K|, the witness is the first row's, the least indicator vector."""
+    total, total_hits = rows[-1][1:]  # the last subset is the whole ground
+    if not total:
+        return RegularityVerdict(True, Fraction(0), None, "exhaustive", True)
+    devs = {(size, hits): Fraction(abs(hits - d * size), size)
+            for size, hits in {row[1:] for row in rows} if size and size >= eps * total}
+    witness = None
+    if devs:
+        dev = max(devs.values())
+        chosen = next(c for c, *terms in rows if devs.get(tuple(terms)) == dev)
+        pair = isinstance(below, VertexClassGraph)
+        witness = (tuple(chosen) if pair else frozenset(chosen), dev)
+    regular = witness is None or witness[1] <= eps
+    return RegularityVerdict(regular, Fraction(total_hits, total), witness, "exhaustive", True)
+
+
+def _rescored(Hk, Hk1, chosen):
+    """(|K_k(Q)|, edges of Hk in K_k(Q)) for the chosen sub-edges Q, its
+    cliques re-enumerated."""
+    kq = cliques(KGraph(Hk1.k, Hk1.n, frozenset(chosen)), Hk.k)
     return len(kq), sum(1 for e in kq if e in Hk.edges)
 
 
@@ -577,17 +570,20 @@ class TestCliqueScorer:
             outside |= bool(Hk.edges - kk)
             unused |= any(not any(set(g) <= set(c) for c in kk) for g in ground)
             score, _ = _clique_scorer(Hk, Hk1, ground)
-            full = (1 << len(ground)) - 1
-            masks = [0, full] + [rng.getrandbits(len(ground)) for _ in range(10)]
-            for mask in masks:
-                assert score(mask) == _rescored(Hk, Hk1, ground, mask), mask
+            bits = _scan_bits(Hk1, ground)
+            keeps = [[0] * len(ground), [1] * len(ground)]
+            keeps += [[rng.getrandbits(1) for _ in ground] for _ in range(10)]
+            for keep in keeps:
+                chosen = list(itertools.compress(ground, keep))
+                assert score(sum(itertools.compress(bits, keep))) == _rescored(Hk, Hk1, chosen)
         assert outside and unused
 
 
 # ---------------------------------------------------------------------------
-# the Gray walk against binary counting: _scan fed every mask in counting
-# order, each scored from scratch, where the first mask of maximal deviation
-# is also the smallest
+# the Gray walk against binary counting: every subset of the ground in
+# counting order of its indicator vector in ground order, scored from
+# scratch through the scan's bits, where the first subset of maximal
+# deviation is the witness
 
 def _tie_rich_pairs():
     """Two near-equal classes over 10, 13 and 16 shuffled vertices; empty,
@@ -620,32 +616,34 @@ def _tie_rich_triples():
 
 class TestGrayWalk:
     # the k = 2 case has no walk: its source is the smaller-class scan, and
-    # only its verdicts are held to _scan fed every mask in counting order
+    # only its verdicts are held to binary counting
     @pytest.mark.parametrize("make", [_tie_rich_pairs, _tie_rich_triples])
     def test_matches_binary_counting(self, make):
-        from hyperreg.regularity import _clique_scorer, _ground, _pair_scorer, _scan
+        from hyperreg.regularity import _clique_scorer, _ground, _pair_scorer
         eps_cycle = itertools.cycle((Fraction(1, 20), Fraction(1, 8), Fraction(1, 3)))
         outside = unused = False
         for H, below in make():
             ground = _ground(below)
+            subsets = list(_subsets(ground, _scan_bits(below, ground)))
             if isinstance(below, VertexClassGraph):
-                score, _ = _pair_scorer(H, below.classes, ground)
-                binary = [(m, *score(m)) for m in range(1 << len(ground))]
+                score, _ = _pair_scorer(H, below.classes)
             else:
                 assert len(ground) <= 14
                 score, walk = _clique_scorer(H, below, ground)
                 kk = cliques(below, 3)
                 outside |= bool(H.edges - kk)
                 unused |= any(not any(set(g) <= set(c) for c in kk) for g in ground)
-                binary = [(m, *score(m)) for m in range(1 << len(ground))]
+            rows = [(chosen, *score(mask)) for chosen, mask in subsets]
+            if not isinstance(below, VertexClassGraph):
+                scores = {mask: tuple(row[1:]) for (_, mask), row in zip(subsets, rows)}
                 visited = set()
                 for mask, size, hits in walk(0):
-                    assert binary[mask] == (mask, size, hits)
+                    assert scores[mask] == (size, hits)
                     visited.add(mask)
-                assert len(visited) == len(binary) - 1 and 0 not in visited
+                assert len(visited) == len(rows) - 1 and 0 not in visited
             for d in (0, Fraction(1, 2), 1):
                 eps = next(eps_cycle)
-                want = _scan(H, below, ground, eps, d, lambda *_: binary, "exhaustive", True)
+                want = _least_worst(below, rows, eps, d)
                 assert check_regular_exhaustive(H, below, eps, d) == want, (len(ground), d, eps)
         assert isinstance(below, VertexClassGraph) or (outside and unused)
 
@@ -653,7 +651,7 @@ class TestGrayWalk:
 # ---------------------------------------------------------------------------
 # the two-class source against binary counting: the exhaustive scan of a
 # two-class polyad enumerates only the smaller class, and must still return
-# the verdict, density and witness of _scan fed every mask in counting order
+# the verdict, density and witness of the scan over every subset
 
 def _two_class_instances():
     """Unequal classes of 1-8 vertices, the smaller one before, after or
@@ -684,19 +682,19 @@ def _two_class_instances():
 class TestTwoClassSource:
     def test_matches_binary_counting(self):
         import random
-        from hyperreg.regularity import _ground, _pair_scorer, _scan
+        from hyperreg.regularity import _ground, _pair_scorer
         rng = random.Random(19)
         inside = 0
         for H, below in _two_class_instances():
             ground = _ground(below)
             A, B = below.classes
             inside += any(set(e) <= A or set(e) <= B for e in H.edges)
-            score, _ = _pair_scorer(H, below.classes, ground)
-            binary = [(m, *score(m)) for m in range(1 << len(ground))]
+            score, _ = _pair_scorer(H, below.classes)
+            rows = [(c, *score(m)) for c, m in _subsets(ground, _scan_bits(below, ground))]
             for _ in range(8):
                 eps = Fraction(rng.randint(1, 20), 20)
                 d = Fraction(rng.randint(0, 6), 6)
-                want = _scan(H, below, ground, eps, d, lambda *_: binary, "exhaustive", True)
+                want = _least_worst(below, rows, eps, d)
                 got = check_regular_exhaustive(H, below, eps, d)
                 assert got == want, (sorted(A), sorted(B), sorted(H.edges), eps, d)
         assert inside >= 30
@@ -715,7 +713,7 @@ class TestTwoClassSource:
     ])
     def test_floor_boundaries_match_binary_counting(self, small, large, p, eps):
         import random
-        from hyperreg.regularity import _ground, _pair_scorer, _scan
+        from hyperreg.regularity import _ground, _pair_scorer
         rng = random.Random(25)
         n = small + large
         verts = rng.sample(range(n), n)
@@ -724,10 +722,10 @@ class TestTwoClassSource:
             e for e in itertools.combinations(range(n), 2) if rng.random() < p
         ))
         ground = _ground(below)
-        score, _ = _pair_scorer(H, below.classes, ground)
-        binary = [(m, *score(m)) for m in range(1 << n)]
+        score, _ = _pair_scorer(H, below.classes)
+        rows = [(c, *score(m)) for c, m in _subsets(ground, _scan_bits(below, ground))]
         for d in (0, Fraction(1, 3), Fraction(1, 2), 1):
-            want = _scan(H, below, ground, eps, d, lambda *_: binary, "exhaustive", True)
+            want = _least_worst(below, rows, eps, d)
             assert check_regular_exhaustive(H, below, eps, d) == want, d
 
     def test_two_candidates_per_set_at_the_least_size(self):
@@ -737,13 +735,12 @@ class TestTwoClassSource:
         from hyperreg.regularity import _ground, _pair_scorer
         for H, below in _two_class_instances():
             ground = _ground(below)
-            top = len(ground) - 1
+            bit = dict(zip(ground, _scan_bits(below, ground)))
             small, large = sorted(
-                (sum(1 << (top - ground.index(v)) for v in c) for c in below.classes),
-                key=int.bit_count,
+                (sum(bit[v] for v in c) for c in below.classes), key=int.bit_count
             )
-            score, source = _pair_scorer(H, below.classes, ground)
-            total = score((1 << len(ground)) - 1)[0]
+            score, source = _pair_scorer(H, below.classes)
+            total = score(small | large)[0]
             for least in (0, 1, total // 3, total):
                 per_set = {}
                 for mask, size, hits in source(least):

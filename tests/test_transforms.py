@@ -15,7 +15,6 @@ from hyperreg import (
     family_refines,
     family_to_text,
     kgraph_to_text,
-    sym_diff_distance,
 )
 from hyperreg.addresses import address_space
 from hyperreg.partitions import PartitionFamily
